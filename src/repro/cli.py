@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .analysis.speedup import speedup_matrix
 from .analysis.tables import render_table
@@ -42,6 +43,9 @@ from .errors import (
 from .genome.fasta import read_fasta, write_fasta
 from .genome.synthetic import random_genome
 from .grna.library import parse_guide_table
+
+if TYPE_CHECKING:
+    from .service.server import JsonLinesServer
 
 
 #: Exit code for requests the service refused or expired (distinct from
@@ -647,9 +651,37 @@ def _command_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve(args: argparse.Namespace) -> int:
+def _serve_until_signalled(server: JsonLinesServer, draining: str) -> None:
+    """Run a started *server* until it stops, then drain it.
+
+    SIGTERM/SIGINT begin a graceful drain: stop accepting, finish the
+    work already admitted (under the drain deadline), then return. The
+    handler only flags the drain; the blocking work happens in the
+    drain thread, and serve_forever returns once it completes.
+    """
     import signal
 
+    def _begin_drain(signum: int, frame: object) -> None:
+        print(
+            f"# received signal {signum}; draining {draining}",
+            file=sys.stderr,
+            flush=True,
+        )
+        server.request_drain()
+
+    previous = {
+        signal.SIGTERM: signal.signal(signal.SIGTERM, _begin_drain),
+        signal.SIGINT: signal.signal(signal.SIGINT, _begin_drain),
+    }
+    try:
+        server.serve_forever()
+    finally:
+        server.stop()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+
+
+def _command_serve(args: argparse.Namespace) -> int:
     from .platforms.spec import ApSpec, FpgaSpec
     from .service import OffTargetServer, OffTargetService
 
@@ -684,35 +716,11 @@ def _command_serve(args: argparse.Namespace) -> int:
         f"on {host}:{port}",
         flush=True,
     )
-
-    # SIGTERM/SIGINT begin a graceful drain: stop accepting, finish the
-    # requests already admitted (under --drain-deadline), then exit 0.
-    # The handler only flags the drain; the blocking work happens in the
-    # drain thread, and serve_forever returns once it completes.
-    def _begin_drain(signum: int, frame: object) -> None:
-        print(
-            f"# received signal {signum}; draining admitted requests",
-            file=sys.stderr,
-            flush=True,
-        )
-        server.request_drain()
-
-    previous = {
-        signal.SIGTERM: signal.signal(signal.SIGTERM, _begin_drain),
-        signal.SIGINT: signal.signal(signal.SIGINT, _begin_drain),
-    }
-    try:
-        server.serve_forever()
-    finally:
-        server.stop()
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
+    _serve_until_signalled(server, "admitted requests")
     return 0
 
 
 def _command_route(args: argparse.Namespace) -> int:
-    import signal
-
     from .check import check_router_config
     from .cluster import ClusterRouter, RouterConfig, specs_from_endpoints
 
@@ -746,25 +754,7 @@ def _command_route(args: argparse.Namespace) -> int:
         f"on {host}:{port}",
         flush=True,
     )
-
-    def _begin_drain(signum: int, frame: object) -> None:
-        print(
-            f"# received signal {signum}; draining in-flight forwards",
-            file=sys.stderr,
-            flush=True,
-        )
-        router.request_drain()
-
-    previous = {
-        signal.SIGTERM: signal.signal(signal.SIGTERM, _begin_drain),
-        signal.SIGINT: signal.signal(signal.SIGINT, _begin_drain),
-    }
-    try:
-        router.serve_forever()
-    finally:
-        router.stop()
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
+    _serve_until_signalled(router, "in-flight forwards")
     if args.stats_json:
         payload = {"command": "route", "stats": router.stats()}
         if args.stats_json == "-":

@@ -6,25 +6,19 @@ The horizontal tier over :mod:`repro.service`: a
 serve`` nodes, with health-gated membership
 (:class:`~repro.cluster.membership.Membership`), same-request-id
 failover re-issue, compiled-guide warmup forwarding, and bounded
-admission control. Exposed on the command line as ``repro-offtarget
-route``.
+admission control. The router runs the backend server's own JSON-lines
+loop (:class:`~repro.service.server.JsonLinesServer`). Exposed on the
+command line as ``repro-offtarget route``.
 """
 
 from .membership import BackendSpec, Membership, specs_from_endpoints
-from .router import (
-    ROUTE_OBS,
-    ClusterRouter,
-    HashRing,
-    RouterConfig,
-    route_key,
-)
+from .router import ClusterRouter, HashRing, RouterConfig, route_key
 
 __all__ = [
     "BackendSpec",
     "ClusterRouter",
     "HashRing",
     "Membership",
-    "ROUTE_OBS",
     "RouterConfig",
     "route_key",
     "specs_from_endpoints",

@@ -33,11 +33,15 @@ them, the router ships the previous holder's ``CompiledGuide``
 artefact over (``cache_export`` → ``cache_adopt``) instead of letting
 the new node recompile.
 
-Observability lives in the module-level :data:`ROUTE_OBS` metrics
-(the ``PROVE_OBS`` pattern): ``route.requests``, ``route.failovers``,
-``route.reissues``, ``route.warmup_forwards``, ``route.shed``,
-``route.members.live`` and friends; per-router collectors can be
-injected for isolation in tests.
+The listener, framing, connection cap, error envelope and drain are
+:class:`~repro.service.server.JsonLinesServer`'s — the same loop a
+backend runs — so the router answers malformed lines, oversized lines
+and connection floods exactly as a backend does.
+
+Observability lives in the router's own :class:`~repro.obs.Metrics`
+(injected, or a fresh collector per router): ``route.requests``,
+``route.failovers``, ``route.reissues``, ``route.warmup_forwards``,
+``route.shed``, ``route.members.live`` and friends.
 """
 
 from __future__ import annotations
@@ -47,9 +51,8 @@ import hashlib
 import itertools
 import json
 import os
-import socket
 import threading
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -60,15 +63,8 @@ from ..obs import Metrics
 from ..service.cache import cache_key, canonical_name
 from ..service.chaos import ChaosPlan
 from ..service.client import ServiceClient
-from ..service.server import (
-    MAX_LINE_BYTES,
-    budget_from_wire,
-    guide_from_wire,
-)
+from ..service.server import JsonLinesServer, budget_from_wire, guide_from_wire
 from .membership import BackendSpec, Membership
-
-#: Module-level route metrics (the PROVE_OBS pattern).
-ROUTE_OBS = Metrics()
 
 #: How many (panel-key → holder) facts the warmup tracker remembers.
 COMPILED_ON_CAPACITY = 4096
@@ -169,8 +165,12 @@ class RouterConfig:
     backend_timeout_seconds: float = 60.0
 
 
-class ClusterRouter:
+class ClusterRouter(JsonLinesServer):
     """A JSON-lines server that shards requests across backend servers.
+
+    The loop, framing, connection cap (64, the server default), error
+    envelope and drain are :class:`~repro.service.server.JsonLinesServer`'s;
+    this class adds routing, admission control and membership.
 
     Parameters
     ----------
@@ -183,11 +183,14 @@ class ClusterRouter:
     chaos:
         Optional :class:`~repro.service.chaos.ChaosPlan`; router →
         backend hops draw from ``router.send``, membership probes from
-        ``probe.send``.
+        ``probe.send``. The router's own response writes draw nothing.
     metrics:
-        Collector for ``route.*`` counters/gauges; defaults to the
-        module-level :data:`ROUTE_OBS`.
+        Collector for ``route.*`` counters/gauges; a router built
+        without one gets its own.
     """
+
+    METRIC_PREFIX = "route."
+    EVENT_PREFIX = "route."
 
     def __init__(
         self,
@@ -207,8 +210,13 @@ class ClusterRouter:
                 "invalid router config: "
                 + "; ".join(f"{d.rule}: {d.message}" for d in errors)
             )
+        super().__init__(
+            metrics=metrics if metrics is not None else Metrics(),
+            host=host,
+            port=port,
+            drain_deadline_seconds=config.drain_deadline_seconds,
+        )
         self._config = config
-        self._metrics = metrics if metrics is not None else ROUTE_OBS
         self._chaos = chaos
         self._membership = Membership(
             config.backends,
@@ -223,17 +231,6 @@ class ClusterRouter:
             tuple(spec.name for spec in config.backends),
             virtual_nodes=config.virtual_nodes,
         )
-        self._host = host
-        self._port = port
-        self._poll_seconds = 0.2
-        self._socket: socket.socket | None = None
-        self._acceptor: threading.Thread | None = None
-        self._stop = threading.Event()
-        self._draining = threading.Event()
-        self._drain_lock = threading.Lock()
-        self._finished = False
-        self._handler_lock = threading.Lock()
-        self._handlers: dict[threading.Thread, socket.socket] = {}
         self._state_lock = threading.Lock()
         self._inflight = 0
         self._compiled_on: dict[str, str] = {}
@@ -241,14 +238,6 @@ class ClusterRouter:
         self._id_counter: Iterator[int] = itertools.count(1)
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound (host, port); valid after :meth:`start`."""
-        if self._socket is None:
-            raise ServiceError("router is not started")
-        host, port = self._socket.getsockname()[:2]
-        return str(host), int(port)
 
     @property
     def config(self) -> RouterConfig:
@@ -263,18 +252,10 @@ class ClusterRouter:
         return self._ring
 
     @property
-    def metrics(self) -> Metrics:
-        return self._metrics
-
-    @property
     def inflight(self) -> int:
         """Requests currently being forwarded (the admission gauge)."""
         with self._state_lock:
             return self._inflight
-
-    @property
-    def stopped(self) -> bool:
-        return self._stop.is_set()
 
     def compiled_holders(self) -> dict[str, str]:
         """Snapshot of the warmup tracker: panel key → holding backend."""
@@ -317,7 +298,7 @@ class ClusterRouter:
             "obs": self._metrics.snapshot(),
         }
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- lifecycle hooks -----------------------------------------------------
 
     def start(self, *, probe: bool = True) -> tuple[str, int]:
         """Bind, listen, and (optionally) start the membership prober.
@@ -326,235 +307,42 @@ class ClusterRouter:
         :meth:`Membership.probe_once` calls — the deterministic mode
         the cluster tests drive.
         """
-        if self._socket is not None:
-            raise ServiceError("router already started")
-        if self._finished:
-            raise ServiceError("router already stopped; build a new one")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(16)
-        listener.settimeout(self._poll_seconds)
-        self._socket = listener
-        acceptor = threading.Thread(
-            target=self._accept_loop, name="repro-cluster-accept", daemon=True
-        )
-        acceptor.start()
-        self._acceptor = acceptor
+        address = super().start()
         if probe:
             self._membership.start()
-        return self.address
+        return address
 
-    def request_drain(self) -> None:
-        """Begin a graceful drain in the background (signal-handler safe)."""
-        self._draining.set()
-        with self._handler_lock:
-            if self._finished:
-                return
-        threading.Thread(
-            target=self.drain, name="repro-cluster-drain", daemon=True
-        ).start()
+    def _on_drain(self) -> None:
+        self._membership.stop()
 
-    def drain(self, deadline_seconds: float | None = None) -> bool:
-        """Stop accepting, finish in-flight forwards, stop probing."""
-        with self._drain_lock:
-            if self._finished:
-                return True
-            self._draining.set()
-            deadline = (
-                deadline_seconds
-                if deadline_seconds is not None
-                else self._config.drain_deadline_seconds
-            )
-            listener = self._socket
-            self._socket = None
-            if listener is not None:
-                try:
-                    listener.close()
-                except OSError:  # pragma: no cover - close is best-effort
-                    pass
-            acceptor = self._acceptor
-            if acceptor is not None and acceptor is not threading.current_thread():
-                acceptor.join(timeout=5.0)
-            self._acceptor = None
-            clean = self._join_handlers(deadline)
-            self._stop.set()
-            self._join_handlers(5.0)
-            self._membership.stop()
-            self._metrics.incr("route.drain.completed")
-            self._finished = True
-            return clean
-
-    def stop(self) -> None:
-        self.drain()
-
-    def serve_forever(self, *, poll_seconds: float = 0.2) -> None:
-        """Block until :meth:`stop` (or the ``shutdown`` op)."""
-        while not self._stop.wait(timeout=poll_seconds):
-            pass
-
-    def _join_handlers(self, deadline_seconds: float) -> bool:
-        deadline = time.monotonic() + deadline_seconds
-        while True:
-            with self._handler_lock:
-                threads = [
-                    thread
-                    for thread in self._handlers
-                    if thread.is_alive()
-                    and thread is not threading.current_thread()
-                ]
-            if not threads:
-                return True
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            threads[0].join(timeout=min(remaining, 0.5))
-
-    # -- connection handling -------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set() and not self._draining.is_set():
-            listener = self._socket
-            if listener is None:
-                break
-            try:
-                connection, _ = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            self._metrics.incr("route.connections.accepted")
-            handler = threading.Thread(
-                target=self._handle_connection,
-                args=(connection,),
-                name="repro-cluster-conn",
-                daemon=True,
-            )
-            with self._handler_lock:
-                self._handlers[handler] = connection
-            handler.start()
-
-    def _read_line(
-        self, connection: socket.socket, buffer: bytearray
-    ) -> bytes | None:
-        """Owned-buffer framing (the server's discipline, router-side)."""
-        while True:
-            newline = buffer.find(b"\n")
-            if newline >= 0:
-                if newline + 1 > MAX_LINE_BYTES:
-                    raise ServiceError(
-                        f"request line too long ({newline + 1} bytes)"
-                    )
-                line = bytes(buffer[: newline + 1])
-                del buffer[: newline + 1]
-                return line
-            if len(buffer) > MAX_LINE_BYTES:
-                raise ServiceError(
-                    f"request line too long ({len(buffer)} bytes)"
-                )
-            if self._stop.is_set():
-                return None
-            if self._draining.is_set() and not buffer:
-                return None
-            try:
-                chunk = connection.recv(1 << 16)
-            except socket.timeout:
-                continue
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            buffer.extend(chunk)
-
-    def _handle_connection(self, connection: socket.socket) -> None:
+    @contextmanager
+    def _connection_scope(self) -> Iterator[dict[str, ServiceClient]]:
+        """One connection's backend clients, closed when it ends."""
         clients: dict[str, ServiceClient] = {}
         try:
-            connection.settimeout(self._poll_seconds)
-            buffer = bytearray()
-            with connection:
-                while not self._stop.is_set():
-                    try:
-                        line = self._read_line(connection, buffer)
-                    except ServiceError as error:
-                        self._write(
-                            connection,
-                            {
-                                "ok": False,
-                                "error": "bad_request",
-                                "detail": str(error),
-                            },
-                        )
-                        return
-                    if line is None:
-                        return
-                    response = self._respond(line, clients)
-                    if not self._write(connection, response):
-                        return
-                    if response.get("op") == "bye":
-                        self._stop.set()
-                        return
-                    if response.get("op") == "draining":
-                        self.request_drain()
-                        return
-                    if self._draining.is_set():
-                        return
+            yield clients
         finally:
             for client in clients.values():
                 client.close()
-            with self._handler_lock:
-                self._handlers.pop(threading.current_thread(), None)
-
-    def _write(self, connection: socket.socket, response: dict[str, Any]) -> bool:
-        try:
-            connection.sendall(json.dumps(response).encode("ascii") + b"\n")
-            return True
-        except OSError:
-            return False
 
     # -- the ops -------------------------------------------------------------
 
-    def _respond(
-        self, line: bytes, clients: dict[str, ServiceClient]
-    ) -> dict[str, Any]:
+    def _respond(self, line: bytes, scope: Any = None) -> dict[str, Any]:
         self._metrics.incr("route.requests")
-        try:
-            try:
-                payload = json.loads(line)
-            except ValueError as error:
-                raise ServiceError(
-                    f"request is not valid JSON: {error}"
-                ) from error
-            if not isinstance(payload, dict):
-                raise ServiceError("request must be a JSON object")
-            op = payload.get("op", "query")
-            if op == "ping":
-                return {"ok": True, "op": "pong"}
-            if op == "stats":
-                return {"ok": True, "op": "stats", "stats": self.stats()}
-            if op == "health":
-                return {"ok": True, "op": "health", "health": self.health()}
-            if op == "drain":
-                return {"ok": True, "op": "draining"}
-            if op == "shutdown":
-                return {"ok": True, "op": "bye"}
-            if op == "register":
-                return self._respond_register(payload, clients)
-            if op in ("query", "design"):
-                return self._respond_routed(op, payload, clients)
-            if op in ("cache_export", "cache_adopt"):
-                raise ServiceError(
-                    f"op {op!r} is node-local; address a backend directly"
-                )
-            raise ServiceError(f"unknown op {op!r}")
-        except ServiceError as error:
-            return {"ok": False, "error": "bad_request", "detail": str(error)}
-        except Exception as error:  # noqa: BLE001 - router must answer
-            self._metrics.incr("route.internal_errors")
-            return {
-                "ok": False,
-                "error": "internal",
-                "detail": str(error) or type(error).__name__,
-            }
+        return super()._respond(line, scope)
+
+    def _respond_op(
+        self, op: str, payload: dict[str, Any], clients: dict[str, ServiceClient]
+    ) -> dict[str, Any]:
+        if op == "register":
+            return self._respond_register(payload, clients)
+        if op in ("query", "design"):
+            return self._respond_routed(op, payload, clients)
+        if op in ("cache_export", "cache_adopt"):
+            raise ServiceError(
+                f"op {op!r} is node-local; address a backend directly"
+            )
+        raise ServiceError(f"unknown op {op!r}")
 
     def _respond_register(
         self, payload: dict[str, Any], clients: dict[str, ServiceClient]

@@ -47,6 +47,11 @@ ops — anything the *client* got wrong), ``internal`` (a server-side
 bug; stdlib exceptions escaping our own demux code land here, never
 under ``bad_request``).
 
+The listener, framing, connection cap, error envelope and drain live
+in :class:`JsonLinesServer`, which both :class:`OffTargetServer` and
+the cluster tier's router extend, so the two answer the wire the same
+way.
+
 Robustness invariants (pinned by ``tests/test_chaos.py``):
 
 * **Framing is typed.** A line exceeding ``max_line_bytes`` is
@@ -75,8 +80,10 @@ import pickle
 import socket
 import threading
 import time
+from abc import ABC, abstractmethod
 from collections import OrderedDict
 from concurrent.futures import Future
+from contextlib import AbstractContextManager, nullcontext
 from typing import Any, Callable
 
 from ..core.compiler import CompiledGuide, SearchBudget
@@ -212,46 +219,63 @@ class _LineTooLong(Exception):
         self.length = length
 
 
-class OffTargetServer:
-    """Serve one :class:`OffTargetService` over a local TCP socket.
+class JsonLinesServer(ABC):
+    """The JSON-lines server loop every serving front end runs.
 
-    ``port=0`` (the default) lets the OS pick a free port; the bound
-    address is available as :attr:`address` after :meth:`start` and is
-    what ``repro-offtarget serve`` announces on stdout.
+    :class:`OffTargetServer` and the cluster tier's
+    :class:`~repro.cluster.router.ClusterRouter` share this one loop: a
+    listener polled by an accept thread; one handler thread per
+    connection up to ``max_connections`` (a connection beyond the cap
+    gets one ``overloaded`` error line and is closed); owned-buffer
+    framing under ``max_line_bytes``; and one response envelope that
+    parses a line, answers the shared ``ping`` / ``stats`` / ``health``
+    / ``drain`` / ``shutdown`` ops, hands any other op to
+    :meth:`_respond_op`, and maps an exception to its wire kind with
+    :func:`_error_kind`.
+
+    A subclass supplies its own ops (:meth:`_respond_op`), its
+    :meth:`health` and :meth:`stats` payloads, what a drain releases
+    once the handlers are done (:meth:`_on_drain`) and, if it needs
+    one, per-connection state (:meth:`_connection_scope`). Counters are
+    named ``<METRIC_PREFIX>connections.*`` and ``<METRIC_PREFIX>drain.*``
+    for the lifecycle and ``<EVENT_PREFIX>*`` for framing and envelope
+    events.
 
     Parameters
     ----------
+    metrics:
+        Collector for this server's counters and gauges.
+    host, port:
+        Where to listen. ``port=0`` lets the OS pick a free port; the
+        bound address is :attr:`address` after :meth:`start`.
     max_connections:
         Concurrent-connection cap; a connection beyond it is answered
-        with one ``overloaded`` error line and closed (the flood arm
-        of the chaos suite).
+        with one ``overloaded`` error line and closed.
     max_line_bytes:
-        Framing limit for one request line; longer lines are rejected
+        Framing limit for one request line; a longer line is rejected
         with a typed ``bad_request`` and the connection is closed.
-    idempotency_capacity:
-        How many completed responses (for requests carrying an ``id``)
-        are remembered for retry deduplication, LRU-bounded.
     drain_deadline_seconds:
         How long :meth:`drain` waits for in-flight connection handlers
-        before closing the service (which resolves every admitted
-        future and unblocks any stragglers).
-    chaos:
+        before :meth:`_on_drain` runs.
+    write_chaos:
         Optional :class:`~repro.service.chaos.ChaosPlan` consulted at
         the ``server.write`` site — drops, truncates, or slows
         response writes for the differential chaos suite.
     """
 
+    METRIC_PREFIX = "service."
+    EVENT_PREFIX = "service.server."
+
     def __init__(
         self,
-        service: OffTargetService,
         *,
+        metrics: Metrics,
         host: str = "127.0.0.1",
         port: int = 0,
         max_connections: int = 64,
         max_line_bytes: int = MAX_LINE_BYTES,
-        idempotency_capacity: int = 1024,
         drain_deadline_seconds: float = 10.0,
-        chaos: ChaosPlan | None = None,
+        write_chaos: ChaosPlan | None = None,
     ) -> None:
         if not isinstance(max_connections, int) or max_connections < 1:
             raise ServiceError(
@@ -261,24 +285,17 @@ class OffTargetServer:
             raise ServiceError(
                 f"max_line_bytes must be an integer >= 64, got {max_line_bytes!r}"
             )
-        if not isinstance(idempotency_capacity, int) or idempotency_capacity < 1:
-            raise ServiceError(
-                f"idempotency_capacity must be a positive integer, "
-                f"got {idempotency_capacity!r}"
-            )
         if drain_deadline_seconds < 0:
             raise ServiceError(
                 f"drain_deadline_seconds must be >= 0, got {drain_deadline_seconds!r}"
             )
-        self._service = service
-        self._metrics: Metrics = service.metrics
+        self._metrics = metrics
         self._host = host
         self._port = port
         self._max_connections = max_connections
         self._max_line_bytes = max_line_bytes
-        self._idempotency_capacity = idempotency_capacity
         self._drain_deadline = drain_deadline_seconds
-        self._chaos = chaos
+        self._write_chaos = write_chaos
         self._poll_seconds = 0.2
         self._socket: socket.socket | None = None
         self._acceptor: threading.Thread | None = None
@@ -290,13 +307,6 @@ class OffTargetServer:
         self._drained_clean = True
         self._handler_lock = threading.Lock()
         self._handlers: dict[threading.Thread, socket.socket] = {}
-        self._idemp_lock = threading.Lock()
-        self._inflight: dict[str, "Future[Any]"] = {}
-        self._completed: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
-        self._executions: dict[str, int] = {}
-        self._started = time.monotonic()
-        self._inflight_ops_lock = threading.Lock()
-        self._inflight_ops = 0
 
     @property
     def address(self) -> tuple[str, int]:
@@ -307,21 +317,16 @@ class OffTargetServer:
         return str(host), int(port)
 
     @property
+    def metrics(self) -> Metrics:
+        return self._metrics
+
+    @property
     def max_connections(self) -> int:
         return self._max_connections
 
     @property
     def max_line_bytes(self) -> int:
         return self._max_line_bytes
-
-    @property
-    def idempotency_capacity(self) -> int:
-        return self._idempotency_capacity
-
-    @property
-    def service(self) -> OffTargetService:
-        """The service this server fronts."""
-        return self._service
 
     @property
     def accepting(self) -> bool:
@@ -344,38 +349,33 @@ class OffTargetServer:
         with self._handler_lock:
             return sum(1 for thread in self._handlers if thread.is_alive())
 
-    @property
-    def inflight_requests(self) -> int:
-        """Executing ops (query/design) currently being served."""
-        with self._inflight_ops_lock:
-            return self._inflight_ops
+    # -- what a subclass supplies --------------------------------------------
 
-    @property
-    def uptime_seconds(self) -> float:
-        """Seconds since this server object was constructed."""
-        return time.monotonic() - self._started
+    @abstractmethod
+    def health(self) -> dict[str, Any]:
+        """Readiness/liveness snapshot (the ``health`` op's payload)."""
 
-    def execution_counts(self) -> dict[str, int]:
-        """How many times each request id was actually submitted.
+    @abstractmethod
+    def stats(self) -> dict[str, Any]:
+        """Counters and gauges (the ``stats`` op's payload)."""
 
-        The chaos suite's duplicate detector: under any retry schedule
-        every value must stay at 1.
+    @abstractmethod
+    def _respond_op(
+        self, op: str, payload: dict[str, Any], scope: Any
+    ) -> dict[str, Any]:
+        """Answer an op the shared envelope does not; raise on failure.
+
+        *scope* is the value :meth:`_connection_scope` gave the
+        connection the request arrived on (None outside a connection).
         """
-        with self._idemp_lock:
-            return dict(self._executions)
 
-    def idempotent_ids(self) -> tuple[tuple[str, bool], ...]:
-        """(request id, completed?) pairs currently remembered."""
-        with self._idemp_lock:
-            completed = [(request_id, True) for request_id in self._completed]
-            inflight = [(request_id, False) for request_id in self._inflight]
-        return tuple(completed + inflight)
+    @abstractmethod
+    def _on_drain(self) -> None:
+        """Release admitted work once the handlers finished or timed out."""
 
-    def completed_response(self, request_id: str) -> dict[str, Any] | None:
-        """The remembered response for *request_id*, if any (checker)."""
-        with self._idemp_lock:
-            response = self._completed.get(request_id)
-            return dict(response) if response is not None else None
+    def _connection_scope(self) -> AbstractContextManager[Any]:
+        """State that lives as long as one connection (none by default)."""
+        return nullcontext()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -392,7 +392,9 @@ class OffTargetServer:
         listener.settimeout(self._poll_seconds)  # poll stop/drain between accepts
         self._socket = listener
         acceptor = threading.Thread(
-            target=self._accept_loop, name="repro-service-accept", daemon=True
+            target=self._accept_loop,
+            name=f"{type(self).__name__}-accept",
+            daemon=True,
         )
         acceptor.start()
         self._acceptor = acceptor
@@ -403,7 +405,7 @@ class OffTargetServer:
 
         Equivalent to :meth:`drain` under the configured deadline:
         in-flight connection handlers are joined (bounded) *before*
-        the service is closed, so an executing request is answered,
+        :meth:`_on_drain` runs, so an executing request is answered,
         never cut off mid-``_respond``.
         """
         self.drain()
@@ -419,7 +421,7 @@ class OffTargetServer:
             if self._drain_thread is not None or self._finished:
                 return
             self._drain_thread = threading.Thread(
-                target=self.drain, name="repro-service-drain", daemon=True
+                target=self.drain, name=f"{type(self).__name__}-drain", daemon=True
             )
             self._drain_thread.start()
 
@@ -429,10 +431,9 @@ class OffTargetServer:
         The sequence: stop accepting (close the listener), give
         in-flight connection handlers *deadline_seconds* (default: the
         configured drain deadline) to finish the requests they are
-        serving, close the service — which drains every admitted
-        request, resolving the futures any straggling handler is
-        blocked on — then set the stop flag and reap stragglers.
-        Returns True when every handler finished inside the deadline.
+        serving, run :meth:`_on_drain` — which unblocks any straggling
+        handler — then set the stop flag and reap stragglers. Returns
+        True when every handler finished inside the deadline.
         Idempotent; concurrent callers serialize on one drain.
         """
         with self._drain_lock:
@@ -450,15 +451,12 @@ class OffTargetServer:
                 acceptor.join(timeout=5.0)
             self._acceptor = None
             clean = self._join_handlers(deadline)
-            # Closing the service stops the batcher *after* draining the
-            # queue: every admitted future resolves, which unblocks any
-            # handler still waiting in _respond_query.
-            self._service.close()
+            self._on_drain()
             self._stop.set()
             self._join_handlers(5.0)
-            self._metrics.incr("service.drain.completed")
+            self._metrics.incr(self.METRIC_PREFIX + "drain.completed")
             if not clean:
-                self._metrics.incr("service.drain.deadline_expired")
+                self._metrics.incr(self.METRIC_PREFIX + "drain.deadline_expired")
             self._drained_clean = clean
             self._finished = True
             return clean
@@ -467,73 +465,6 @@ class OffTargetServer:
         """Block the calling thread until :meth:`stop` (or ``shutdown`` op)."""
         while not self._stop.wait(timeout=poll_seconds):
             pass
-
-    def health(self) -> dict[str, Any]:
-        """Readiness/liveness snapshot (the ``health`` op's payload).
-
-        Carries the load signals a membership prober needs to make
-        *load-aware* decisions, not just a liveness ack: in-flight
-        executing ops, cache hit/miss counters, the registered session
-        list, and uptime (a small uptime after a large one means the
-        node restarted and lost its sessions and cache).
-        """
-        service = self._service.health()
-        draining = self._draining.is_set()
-        stopped = self._stop.is_set()
-        return {
-            "live": not stopped,
-            "ready": (
-                not draining
-                and not stopped
-                and self._socket is not None
-                and bool(service["ready"])
-            ),
-            "draining": draining,
-            "connections": self.active_connections,
-            "max_connections": self._max_connections,
-            "inflight": self.inflight_requests,
-            "uptime_seconds": self.uptime_seconds,
-            "queue_depth": service["queue_depth"],
-            "max_queue_depth": service["max_queue_depth"],
-            "sessions": service["sessions"],
-            "cache": service["cache"],
-            "executions": int(self._metrics.counter("service.server.executions")),
-            "deduped": int(
-                self._metrics.counter("service.server.requests.deduped")
-            ),
-        }
-
-    def die(self) -> None:
-        """Crash abruptly: no drain, no goodbye (the chaos kill switch).
-
-        The in-process stand-in for ``SIGKILL`` in cross-node chaos
-        tests: the listener and every open connection are torn down
-        immediately and the serve loop is told to exit, abandoning
-        admitted work exactly as a real crash would. The underlying
-        service object is *not* closed — its state (execution counts,
-        idempotency records) stays inspectable post-mortem, which is
-        what the duplicate-execution proofs audit.
-        """
-        self._metrics.incr("service.server.died")
-        self._stop.set()
-        self._draining.set()
-        self._close_listener()
-        with self._handler_lock:
-            connections = list(self._handlers.values())
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-        # Deliberately no _drain_lock: a crash must never block behind
-        # an in-progress graceful drain. The flag writes are atomic and
-        # a later stop()/drain() call returns immediately.
-        self._finished = True
-        self._drained_clean = False
 
     def _close_listener(self) -> None:
         listener = self._socket
@@ -574,7 +505,7 @@ class OffTargetServer:
                 continue
             except OSError:
                 break  # listener closed under us during stop()/drain()
-            self._metrics.incr("service.connections.accepted")
+            self._metrics.incr(self.METRIC_PREFIX + "connections.accepted")
             if self._draining.is_set() or self._stop.is_set():
                 self._refuse(connection, "server is draining")
                 continue
@@ -586,11 +517,13 @@ class OffTargetServer:
                     handler = threading.Thread(
                         target=self._handle_connection,
                         args=(connection,),
-                        name="repro-service-conn",
+                        name=f"{type(self).__name__}-conn",
                         daemon=True,
                     )
                     self._handlers[handler] = connection
-                    self._metrics.gauge("service.connections.active", active + 1)
+                    self._metrics.gauge(
+                        self.METRIC_PREFIX + "connections.active", active + 1
+                    )
             if handler is None:
                 self._refuse(
                     connection,
@@ -601,7 +534,7 @@ class OffTargetServer:
 
     def _refuse(self, connection: socket.socket, detail: str) -> None:
         """Answer one typed ``overloaded`` line and close (best effort)."""
-        self._metrics.incr("service.connections.rejected")
+        self._metrics.incr(self.METRIC_PREFIX + "connections.rejected")
         try:
             connection.settimeout(1.0)
             connection.sendall(
@@ -654,7 +587,7 @@ class OffTargetServer:
                 return None
             if not chunk:
                 if buffer:
-                    self._metrics.incr("service.server.midline_disconnects")
+                    self._metrics.incr(self.EVENT_PREFIX + "midline_disconnects")
                 return None
             buffer.extend(chunk)
 
@@ -662,12 +595,12 @@ class OffTargetServer:
         try:
             connection.settimeout(self._poll_seconds)
             buffer = bytearray()
-            with connection:
+            with connection, self._connection_scope() as scope:
                 while not self._stop.is_set():
                     try:
                         line = self._read_line(connection, buffer)
                     except _LineTooLong as error:
-                        self._metrics.incr("service.server.oversize_rejected")
+                        self._metrics.incr(self.EVENT_PREFIX + "oversize_rejected")
                         self._send_response(
                             connection,
                             {
@@ -682,7 +615,7 @@ class OffTargetServer:
                         return
                     if line is None:
                         return
-                    response = self._respond(line)
+                    response = self._respond(line, scope)
                     if not self._send_response(connection, response):
                         return
                     if response.get("op") == "bye":
@@ -697,7 +630,7 @@ class OffTargetServer:
             with self._handler_lock:
                 self._handlers.pop(threading.current_thread(), None)
                 active = sum(1 for t in self._handlers if t.is_alive())
-                self._metrics.gauge("service.connections.active", active)
+                self._metrics.gauge(self.METRIC_PREFIX + "connections.active", active)
 
     def _send_response(
         self, connection: socket.socket, response: dict[str, Any]
@@ -710,29 +643,29 @@ class OffTargetServer:
         is served from the idempotency record, never re-executed.
         """
         data = json.dumps(response).encode("ascii") + b"\n"
-        action = self._chaos.draw("server.write") if self._chaos is not None else None
+        chaos = self._write_chaos
+        action = chaos.draw("server.write") if chaos is not None else None
         try:
             if action == "drop_before_write":
-                self._metrics.incr("service.server.chaos_injected")
+                self._metrics.incr(self.EVENT_PREFIX + "chaos_injected")
                 return False
             if action == "truncate_write":
-                self._metrics.incr("service.server.chaos_injected")
+                self._metrics.incr(self.EVENT_PREFIX + "chaos_injected")
                 connection.sendall(data[: max(1, len(data) // 2)])
                 return False
-            if action == "slow_write" and self._chaos is not None:
-                step = self._chaos.slow_chunk_bytes
+            if action == "slow_write" and chaos is not None:
+                step = chaos.slow_chunk_bytes
                 for offset in range(0, len(data), step):
                     connection.sendall(data[offset : offset + step])
-                    time.sleep(self._chaos.slow_pause_seconds)
+                    time.sleep(chaos.slow_pause_seconds)
                 return True
             connection.sendall(data)
             return True
         except OSError:
             return False
 
-    # -- the ops --------------------------------------------------------------
-
-    def _respond(self, line: bytes) -> dict[str, Any]:
+    def _respond(self, line: bytes, scope: Any = None) -> dict[str, Any]:
+        """Parse one request line and answer it; failures become data."""
         try:
             try:
                 payload = json.loads(line)
@@ -744,33 +677,220 @@ class OffTargetServer:
             if op == "ping":
                 return {"ok": True, "op": "pong"}
             if op == "stats":
-                return {"ok": True, "op": "stats", "stats": self._service.stats()}
+                return {"ok": True, "op": "stats", "stats": self.stats()}
             if op == "health":
                 return {"ok": True, "op": "health", "health": self.health()}
             if op == "drain":
                 return {"ok": True, "op": "draining"}
             if op == "shutdown":
                 return {"ok": True, "op": "bye"}
-            if op == "register":
-                return self._respond_register(payload)
-            if op == "cache_export":
-                return self._respond_cache_export(payload)
-            if op == "cache_adopt":
-                return self._respond_cache_adopt(payload)
-            if op == "query":
-                return self._track_inflight(self._respond_query, payload)
-            if op == "design":
-                return self._track_inflight(self._respond_design, payload)
-            raise ServiceError(f"unknown op {op!r}")
+            return self._respond_op(op, payload, scope)
         except Exception as error:
             kind = _error_kind(error)
             if kind == "internal":
-                self._metrics.incr("service.server.internal_errors")
+                self._metrics.incr(self.EVENT_PREFIX + "internal_errors")
             return {
                 "ok": False,
                 "error": kind,
                 "detail": str(error) or type(error).__name__,
             }
+
+
+class OffTargetServer(JsonLinesServer):
+    """Serve one :class:`OffTargetService` over a local TCP socket.
+
+    The loop, framing, connection cap and drain are
+    :class:`JsonLinesServer`'s; this class adds the service's ops and
+    the execute-once idempotency record behind them. ``repro-offtarget
+    serve`` announces the bound :attr:`address` on stdout.
+
+    Parameters
+    ----------
+    host, port, max_connections, max_line_bytes:
+        As for :class:`JsonLinesServer`.
+    idempotency_capacity:
+        How many completed responses (for requests carrying an ``id``)
+        are remembered for retry deduplication, LRU-bounded.
+    drain_deadline_seconds:
+        How long :meth:`drain` waits for in-flight connection handlers
+        before closing the service (which resolves every admitted
+        future and unblocks any stragglers).
+    chaos:
+        Optional :class:`~repro.service.chaos.ChaosPlan` consulted at
+        the ``server.write`` site.
+    """
+
+    def __init__(
+        self,
+        service: OffTargetService,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        max_connections: int = 64,
+        max_line_bytes: int = MAX_LINE_BYTES,
+        idempotency_capacity: int = 1024,
+        drain_deadline_seconds: float = 10.0,
+        chaos: ChaosPlan | None = None,
+    ) -> None:
+        if not isinstance(idempotency_capacity, int) or idempotency_capacity < 1:
+            raise ServiceError(
+                f"idempotency_capacity must be a positive integer, "
+                f"got {idempotency_capacity!r}"
+            )
+        super().__init__(
+            metrics=service.metrics,
+            host=host,
+            port=port,
+            max_connections=max_connections,
+            max_line_bytes=max_line_bytes,
+            drain_deadline_seconds=drain_deadline_seconds,
+            write_chaos=chaos,
+        )
+        self._service = service
+        self._idempotency_capacity = idempotency_capacity
+        self._idemp_lock = threading.Lock()
+        self._inflight: dict[str, "Future[Any]"] = {}
+        self._completed: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
+        self._executions: dict[str, int] = {}
+        self._started = time.monotonic()
+        self._inflight_ops_lock = threading.Lock()
+        self._inflight_ops = 0
+
+    @property
+    def idempotency_capacity(self) -> int:
+        return self._idempotency_capacity
+
+    @property
+    def service(self) -> OffTargetService:
+        """The service this server fronts."""
+        return self._service
+
+    @property
+    def inflight_requests(self) -> int:
+        """Executing ops (query/design) currently being served."""
+        with self._inflight_ops_lock:
+            return self._inflight_ops
+
+    @property
+    def uptime_seconds(self) -> float:
+        """Seconds since this server object was constructed."""
+        return time.monotonic() - self._started
+
+    def execution_counts(self) -> dict[str, int]:
+        """How many times each request id was actually submitted.
+
+        The chaos suite's duplicate detector: under any retry schedule
+        every value must stay at 1.
+        """
+        with self._idemp_lock:
+            return dict(self._executions)
+
+    def idempotent_ids(self) -> tuple[tuple[str, bool], ...]:
+        """(request id, completed?) pairs currently remembered."""
+        with self._idemp_lock:
+            completed = [(request_id, True) for request_id in self._completed]
+            inflight = [(request_id, False) for request_id in self._inflight]
+        return tuple(completed + inflight)
+
+    def completed_response(self, request_id: str) -> dict[str, Any] | None:
+        """The remembered response for *request_id*, if any (checker)."""
+        with self._idemp_lock:
+            response = self._completed.get(request_id)
+            return dict(response) if response is not None else None
+
+    def health(self) -> dict[str, Any]:
+        """Readiness/liveness snapshot (the ``health`` op's payload).
+
+        Carries the load signals a membership prober needs to make
+        *load-aware* decisions, not just a liveness ack: in-flight
+        executing ops, cache hit/miss counters, the registered session
+        list, and uptime (a small uptime after a large one means the
+        node restarted and lost its sessions and cache).
+        """
+        service = self._service.health()
+        draining = self._draining.is_set()
+        stopped = self._stop.is_set()
+        return {
+            "live": not stopped,
+            "ready": (
+                not draining
+                and not stopped
+                and self._socket is not None
+                and bool(service["ready"])
+            ),
+            "draining": draining,
+            "connections": self.active_connections,
+            "max_connections": self._max_connections,
+            "inflight": self.inflight_requests,
+            "uptime_seconds": self.uptime_seconds,
+            "queue_depth": service["queue_depth"],
+            "max_queue_depth": service["max_queue_depth"],
+            "sessions": service["sessions"],
+            "cache": service["cache"],
+            "executions": int(self._metrics.counter("service.server.executions")),
+            "deduped": int(
+                self._metrics.counter("service.server.requests.deduped")
+            ),
+        }
+
+    def stats(self) -> dict[str, Any]:
+        """Service metrics: coalesced batches, cache hit rate, sheds."""
+        return self._service.stats()
+
+    def die(self) -> None:
+        """Crash abruptly: no drain, no goodbye (the chaos kill switch).
+
+        The in-process stand-in for ``SIGKILL`` in cross-node chaos
+        tests: the listener and every open connection are torn down
+        immediately and the serve loop is told to exit, abandoning
+        admitted work exactly as a real crash would. The underlying
+        service object is *not* closed — its state (execution counts,
+        idempotency records) stays inspectable post-mortem, which is
+        what the duplicate-execution proofs audit.
+        """
+        self._metrics.incr("service.server.died")
+        self._stop.set()
+        self._draining.set()
+        self._close_listener()
+        with self._handler_lock:
+            connections = list(self._handlers.values())
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                connection.close()
+            except OSError:  # pragma: no cover - close is best-effort
+                pass
+        # Deliberately no _drain_lock: a crash must never block behind
+        # an in-progress graceful drain. The flag writes are atomic and
+        # a later stop()/drain() call returns immediately.
+        self._finished = True
+        self._drained_clean = False
+
+    def _on_drain(self) -> None:
+        """Close the service: the batcher stops *after* draining its
+        queue, so every admitted future resolves and any handler still
+        waiting in ``_respond_query`` is unblocked."""
+        self._service.close()
+
+    # -- the ops --------------------------------------------------------------
+
+    def _respond_op(
+        self, op: str, payload: dict[str, Any], scope: Any
+    ) -> dict[str, Any]:
+        if op == "register":
+            return self._respond_register(payload)
+        if op == "cache_export":
+            return self._respond_cache_export(payload)
+        if op == "cache_adopt":
+            return self._respond_cache_adopt(payload)
+        if op == "query":
+            return self._track_inflight(self._respond_query, payload)
+        if op == "design":
+            return self._track_inflight(self._respond_design, payload)
+        raise ServiceError(f"unknown op {op!r}")
 
     def _track_inflight(
         self,

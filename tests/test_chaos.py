@@ -10,7 +10,8 @@ duplicate executions, no silent truncation. Four layers:
    (deterministic schedules, scripted mode, fault caps).
 2. ``TestScriptedFaults`` — one targeted regression per action
    (dropped/truncated response writes, slowloris, garbage, oversize
-   lines, mid-line disconnects, connection floods).
+   lines, mid-line disconnects, connection floods); the framing cases
+   also run against the cluster router, which shares the server loop.
 3. ``TestDifferentialSweep`` — 20 seeded plans driving a retrying
    client against a chaotic server; every response is checked against
    the oracle, every failure against the typed hierarchy, and the
@@ -21,6 +22,7 @@ duplicate executions, no silent truncation. Four layers:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -33,6 +35,7 @@ import time
 import pytest
 
 from repro import (
+    Metrics,
     OffTargetSearch,
     OffTargetService,
     SearchBudget,
@@ -40,6 +43,7 @@ from repro import (
     sample_guides_from_genome,
 )
 from repro.check import check_server
+from repro.cluster import BackendSpec, ClusterRouter, RouterConfig
 from repro.errors import ReproError, ServiceError, ServiceTransportError
 from repro.service import (
     ChaosPlan,
@@ -53,6 +57,7 @@ from repro.service.chaos import (
     DEGRADE_ACTIONS,
     SERVER_ACTIONS,
 )
+from repro.service.server import MAX_LINE_BYTES
 
 from differential import DifferentialCase, assert_engines_agree
 from test_service_socket import (
@@ -109,6 +114,40 @@ def make_server(genome, *, chaos=None, **kwargs):
     server = OffTargetServer(service, chaos=chaos, **kwargs)
     server.start()
     return server
+
+
+@contextlib.contextmanager
+def serving_front(kind, genome, **server_kwargs):
+    """Yield ``(address, metrics, counter prefix)`` of a started front end.
+
+    *kind* ``"server"`` is a server built from *server_kwargs*;
+    ``"router"`` is a one-backend router in front of such a server.
+    Both run the same JSON-lines loop, so the framing tests run against
+    both; the router counts under ``route.`` and has no line-limit
+    parameter, so it keeps the default ``MAX_LINE_BYTES``.
+    """
+    server = make_server(genome, **server_kwargs)
+    router = None
+    try:
+        if kind == "server":
+            yield server.address, server.service.metrics, "service.server."
+        else:
+            host, port = server.address
+            router = ClusterRouter(
+                RouterConfig(backends=(BackendSpec("b0", host, port),), replicas=1),
+                metrics=Metrics(),
+            )
+            router.start(probe=False)
+            yield router.address, router.metrics, "route."
+    finally:
+        if router is not None:
+            router.stop()
+        server.stop()
+
+
+#: Bytes that overrun each front's line limit: the server runs with a
+#: 1 KiB limit, the router with the default one.
+OVERSIZE = {"server": 4096, "router": MAX_LINE_BYTES + 1}
 
 
 def errors_of(report):
@@ -252,21 +291,23 @@ class TestScriptedFaults:
         finally:
             server.stop()
 
-    def test_oversize_line_rejected_typed_then_closed(self, genome):
+    @pytest.mark.parametrize("kind", ["server", "router"])
+    def test_oversize_line_rejected_typed_then_closed(self, genome, kind):
         # Satellite 1 regression: an overlong line must be answered with
         # one typed bad_request and a close — never parsed as a truncated
         # request plus a garbage remainder (two bogus responses).
-        server = make_server(genome, max_line_bytes=1024)
-        host, port = server.address
-        try:
+        with serving_front(kind, genome, max_line_bytes=1024) as front:
+            (host, port), metrics, prefix = front
             with socket.create_connection((host, port), timeout=10) as raw:
-                raw.sendall(b"x" * 4096 + b"\n" + b'{"op": "ping"}\n')
+                raw.sendall(b"x" * OVERSIZE[kind] + b"\n" + b'{"op": "ping"}\n')
                 raw.settimeout(10)
                 received = bytearray()
                 while True:
                     try:
                         chunk = raw.recv(1 << 16)
-                    except socket.timeout:
+                    except OSError:
+                        # A timeout, or a reset: closing with the rest of
+                        # our input unread resets instead of ending cleanly.
                         break
                     if not chunk:
                         break
@@ -277,44 +318,36 @@ class TestScriptedFaults:
             assert response["ok"] is False
             assert response["error"] == "bad_request"
             assert "too long" in response["detail"]
-            metrics = server.service.metrics
-            assert metrics.counter("service.server.oversize_rejected") == 1
-        finally:
-            server.stop()
+            assert metrics.counter(prefix + "oversize_rejected") == 1
 
-    def test_oversize_line_without_newline_is_rejected(self, genome):
+    @pytest.mark.parametrize("kind", ["server", "router"])
+    def test_oversize_line_without_newline_is_rejected(self, genome, kind):
         # The truncation bug's other face: the limit must trip even when
         # the newline never arrives (readline(limit) used to return a
         # partial line here and parse it as a request).
-        server = make_server(genome, max_line_bytes=1024)
-        host, port = server.address
-        try:
+        with serving_front(kind, genome, max_line_bytes=1024) as front:
+            (host, port), _, _ = front
             with socket.create_connection((host, port), timeout=10) as raw:
-                raw.sendall(b"y" * 4096)  # no newline
+                raw.sendall(b"y" * OVERSIZE[kind])  # no newline
                 response = json.loads(raw.makefile("rb").readline())
             assert response["ok"] is False
             assert response["error"] == "bad_request"
-        finally:
-            server.stop()
 
-    def test_midline_disconnect_is_counted_and_dropped(self, genome):
-        server = make_server(genome)
-        host, port = server.address
-        try:
+    @pytest.mark.parametrize("kind", ["server", "router"])
+    def test_midline_disconnect_is_counted_and_dropped(self, genome, kind):
+        with serving_front(kind, genome) as front:
+            (host, port), metrics, prefix = front
             with socket.create_connection((host, port), timeout=10) as raw:
                 raw.sendall(b'{"op": "pi')  # partial line, then close
-            metrics = server.service.metrics
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                if metrics.counter("service.server.midline_disconnects"):
+                if metrics.counter(prefix + "midline_disconnects"):
                     break
                 time.sleep(0.02)
-            assert metrics.counter("service.server.midline_disconnects") == 1
-            # The server is unharmed: a fresh client still gets answers.
+            assert metrics.counter(prefix + "midline_disconnects") == 1
+            # The front is unharmed: a fresh client still gets answers.
             with ServiceClient(host, port, timeout_seconds=10) as client:
                 assert client.ping()
-        finally:
-            server.stop()
 
     def test_connection_flood_is_shed_typed(self, genome):
         server = make_server(genome, max_connections=2)

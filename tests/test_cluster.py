@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -63,7 +65,13 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.service import ChaosPlan, OffTargetServer, RetryPolicy, ServiceClient
+from repro.service import (
+    ChaosPlan,
+    OffTargetServer,
+    RetryPolicy,
+    ServiceClient,
+    open_flood,
+)
 
 from differential import DifferentialCase, assert_engines_agree
 from test_service_socket import (
@@ -547,6 +555,106 @@ class TestClusterRouting:
             assert "node-local" in response["detail"]
         finally:
             stop_cluster(router, backends)
+
+    @pytest.mark.parametrize(
+        "mistake",
+        [{"protospacer": "ACGTACGTACGTACGTACZZ"}, {"pam": "QQQ"}],
+        ids=["protospacer", "pam"],
+    )
+    def test_client_mistakes_answer_like_a_direct_server(
+        self, genome, guides, mistake
+    ):
+        # A GuideError/PamError raised while keying the request is the
+        # client's mistake: the router answers what a backend answers.
+        router, backends = make_cluster(genome, 2)
+        payload = {
+            "op": "query",
+            "guides": [
+                {"name": "g", "protospacer": guides[0].protospacer, **mistake}
+            ],
+            "budget": {"mismatches": 1},
+        }
+        try:
+            with router_client(router) as client:
+                routed = client.exchange(payload)
+            host, port = backends["b0"].address
+            with ServiceClient(host, port, timeout_seconds=CLIENT_TIMEOUT) as client:
+                direct = client.exchange(payload)
+            assert direct["error"] == "bad_request"
+            assert routed == direct
+            assert router.metrics.counter("route.internal_errors") == 0
+        finally:
+            stop_cluster(router, backends)
+
+    def test_connection_cap_refuses_the_excess_typed(self, genome):
+        # The router inherits the server's accept loop and its cap of
+        # 64: each connection past it gets one typed overloaded line
+        # instead of a handler thread of its own.
+        router, backends = make_cluster(genome, 1)
+        flood = []
+        try:
+            host, port = router.address
+            excess = 3
+            flood = list(
+                open_flood(host, port, router.max_connections + excess)
+            )
+            assert len(flood) == router.max_connections + excess
+
+            def answered():
+                return select.select(flood, [], [], 0.1)[0]
+
+            deadline = time.monotonic() + 10
+            while len(answered()) < excess and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.3)  # grace: no accepted connection answers
+            refused = answered()
+            assert len(refused) == excess
+            for held in refused:
+                held.settimeout(5)
+                response = json.loads(held.makefile("rb").readline())
+                assert response["error"] == "overloaded"
+                assert "connection limit" in response["detail"]
+            assert router.metrics.counter("route.connections.rejected") == excess
+        finally:
+            for held in flood:
+                held.close()
+            stop_cluster(router, backends)
+
+    def test_request_drain_runs_one_drain(self, genome):
+        # A signal handler and the drain op may both ask to drain; the
+        # router starts one drain thread, as a backend does.
+        router, backends = make_cluster(genome, 1, drain_deadline_seconds=5.0)
+        before = set(threading.enumerate())
+        try:
+            host, port = router.address
+            with socket.create_connection((host, port), timeout=10) as raw:
+                # A half-sent line keeps its handler, and so the drain,
+                # open until the peer closes.
+                raw.sendall(b'{"op": "pi')
+                deadline = time.monotonic() + 10
+                while router.active_connections < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                for _ in range(3):
+                    router.request_drain()
+                drains = [
+                    thread
+                    for thread in threading.enumerate()
+                    if thread not in before and thread.name.endswith("drain")
+                ]
+                assert len(drains) == 1
+            drains[0].join(timeout=10)
+            assert not drains[0].is_alive()
+            assert router.stopped and not router.accepting
+            assert router.metrics.counter("route.drain.completed") == 1
+        finally:
+            stop_cluster(router, backends)
+
+    def test_routers_without_metrics_do_not_share_counters(self):
+        config = RouterConfig(backends=(BackendSpec("b0", "127.0.0.1", 9),))
+        first, second = ClusterRouter(config), ClusterRouter(config)
+        first.metrics.incr("route.requests")
+        assert first.metrics.counter("route.requests") == 1
+        assert second.metrics.counter("route.requests") == 0
 
     def test_router_health_and_stats_ops(self, genome, guides, budget):
         router, backends = make_cluster(genome, 3)
