@@ -22,8 +22,8 @@ def save_experiment(name: str, text: str) -> None:
 class MatcherStream:
     """The reference LUT matcher run chunk by chunk.
 
-    Same chunks, overlap and boundary rule as ``StreamingSearch``, so a
-    timing against it isolates the kernel from the streaming front end.
+    Same chunks, overlap and boundary rule as ``ParallelSearch(workers=1)``,
+    so a timing against it isolates the kernel from the chunked front end.
     """
 
     def __init__(self, guides, budget, *, chunk_length):

@@ -4,11 +4,11 @@ The bit-parallel Shift-And kernel (`repro.core.bitparallel`) evaluates
 64 genome start positions per machine word and shares the packed code
 planes across the whole guide panel; the LUT matcher gathers one byte
 per (pattern position, genome symbol). This table streams both over
-the same chunks — ``StreamingSearch`` for the bit-parallel kernel, the
-reference matcher driven per chunk by ``MatcherStream`` with identical
-overlap and dedupe — so the ratio isolates the kernel, in symbols/s,
-across panel sizes and mismatch budgets. The matcher is a reference
-implementation only; no production path runs it.
+the same chunks — ``ParallelSearch(workers=1)`` for the bit-parallel
+kernel, the reference matcher driven per chunk by ``MatcherStream`` with
+identical overlap and dedupe — so the ratio isolates the kernel, in
+symbols/s, across panel sizes and mismatch budgets. The matcher is a
+reference implementation only; no production path runs it.
 
 Acceptance (ISSUE 6): >= 10x symbols/s over the matcher-backed stream
 on a 20-guide panel at mismatch budget 3. Both kernels' hit lists are
@@ -17,7 +17,7 @@ asserted bit-identical before any timing is trusted.
 
 import time
 
-from repro import SearchBudget, StreamingSearch, random_genome, sample_guides_from_genome
+from repro import ParallelSearch, SearchBudget, random_genome, sample_guides_from_genome
 from repro.analysis.tables import render_table
 
 from _harness import MatcherStream, save_experiment
@@ -51,7 +51,7 @@ def test_f12_bitparallel_throughput(benchmark):
         guides = sample_guides_from_genome(donor, panel_size, seed=1204 + panel_size)
         for mismatches in BUDGETS:
             budget = SearchBudget(mismatches=mismatches)
-            bitparallel = StreamingSearch(guides, budget, chunk_length=CHUNK)
+            bitparallel = ParallelSearch(guides, budget, workers=1, chunk_length=CHUNK)
             matcher = MatcherStream(guides, budget, chunk_length=CHUNK)
             # Differential gate before timing: a fast wrong kernel is
             # not a result.
@@ -92,6 +92,6 @@ def test_f12_bitparallel_throughput(benchmark):
     # pass on the acceptance panel.
     guides = sample_guides_from_genome(donor, ACCEPTANCE_PANEL, seed=1224)
     budget = SearchBudget(mismatches=ACCEPTANCE_BUDGET)
-    search = StreamingSearch(guides, budget, chunk_length=CHUNK)
+    search = ParallelSearch(guides, budget, workers=1, chunk_length=CHUNK)
     hits = benchmark.pedantic(search.search, args=(genome,), rounds=2, iterations=1)
     assert hits == MatcherStream(guides, budget, chunk_length=CHUNK).search(genome)

@@ -5,9 +5,9 @@ still routed to the matcher's banded DP, so exactly the budget shapes
 the paper showcases got none of the speedup. This table measures the
 diagonal-band bit-parallel engine against the matcher across bulged
 budget shapes (RNA-only, DNA-only, mixed), streamed over the same
-chunks — ``StreamingSearch`` for the banded kernel, the reference
-matcher driven per chunk by ``MatcherStream`` with identical overlap
-and dedupe — so the ratio isolates the kernel. The matcher is a
+chunks — ``ParallelSearch(workers=1)`` for the banded kernel, the
+reference matcher driven per chunk by ``MatcherStream`` with identical
+overlap and dedupe — so the ratio isolates the kernel. The matcher is a
 reference implementation only; no production path runs it.
 
 The genome is smaller than F12's (the matcher's bulged DP runs a
@@ -22,7 +22,7 @@ asserted bit-identical before any timing is trusted.
 
 import time
 
-from repro import SearchBudget, StreamingSearch, random_genome, sample_guides_from_genome
+from repro import ParallelSearch, SearchBudget, random_genome, sample_guides_from_genome
 from repro.analysis.tables import render_table
 
 from _harness import MatcherStream, save_experiment
@@ -63,7 +63,7 @@ def test_f13_bulge_kernel_throughput(benchmark):
             budget = SearchBudget(
                 mismatches=mismatches, rna_bulges=rna, dna_bulges=dna
             )
-            banded = StreamingSearch(guides, budget, chunk_length=CHUNK)
+            banded = ParallelSearch(guides, budget, workers=1, chunk_length=CHUNK)
             lut = MatcherStream(guides, budget, chunk_length=CHUNK)
             # Differential gate before timing: a fast wrong kernel is
             # not a result.
@@ -105,6 +105,6 @@ def test_f13_bulge_kernel_throughput(benchmark):
     mismatches, rna, dna = ACCEPTANCE_SHAPE
     budget = SearchBudget(mismatches=mismatches, rna_bulges=rna, dna_bulges=dna)
     guides = sample_guides_from_genome(donor, ACCEPTANCE_PANEL, seed=1324)
-    search = StreamingSearch(guides, budget, chunk_length=CHUNK)
+    search = ParallelSearch(guides, budget, workers=1, chunk_length=CHUNK)
     hits = benchmark.pedantic(search.search, args=(genome,), rounds=2, iterations=1)
     assert hits == MatcherStream(guides, budget, chunk_length=CHUNK).search(genome)

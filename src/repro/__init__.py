@@ -25,7 +25,6 @@ from .core.compiler import compile_guide, compile_library, CompiledGuide, Compil
 from .core.parallel import FaultPlan, FaultSpec, ParallelSearch
 from .core.reference import NaiveSearcher
 from .obs import Metrics
-from .core.streaming import StreamingSearch
 from .genome.sequence import Sequence
 from .genome.fasta import read_fasta, write_fasta
 from .genome.synthetic import random_genome, SyntheticGenomeBuilder, plant_sites
@@ -62,7 +61,6 @@ __all__ = [
     "Metrics",
     "NaiveSearcher",
     "ParallelSearch",
-    "StreamingSearch",
     "Sequence",
     "read_fasta",
     "write_fasta",

@@ -51,17 +51,26 @@ class RunRecord:
         return f"{self.mismatches}mm/{self.rna_bulges}rb/{self.dna_bulges}db"
 
 
+#: The ``mode`` values ``search --stats-json`` writes.
+SEARCH_MODES = ("engine", "sharded-serial", "sharded-pooled")
+
+
 def record_from_stats_json(payload: dict, *, workload: str = "cli") -> RunRecord:
     """Build a :class:`RunRecord` from a CLI ``--stats-json`` payload.
 
     The payload's search mode decides the measured time: sharded runs
     sum their per-sequence wall seconds (and surface retry/timeout
-    totals in ``extra``), streaming runs sum chunk walls, and engine
-    runs carry their measured kernel seconds plus modeled totals.
+    totals in ``extra``), and engine runs carry their measured kernel
+    seconds plus modeled totals. Any other mode raises
+    :class:`ReproError` rather than load with no measured time.
     """
     if not isinstance(payload, dict) or "num_hits" not in payload:
         raise ReproError("stats payload is not a --stats-json dict")
     mode = payload.get("mode", "engine")
+    if mode not in SEARCH_MODES:
+        raise ReproError(
+            f"unknown stats mode {mode!r}; expected one of {', '.join(SEARCH_MODES)}"
+        )
     measured = 0.0
     extra: dict[str, Any] = {"mode": mode, "stats": payload}
     if mode.startswith("sharded"):
@@ -73,9 +82,6 @@ def record_from_stats_json(payload: dict, *, workload: str = "cli") -> RunRecord
         extra["timeouts"] = sum(
             run.get("fault_tolerance", {}).get("timeouts", 0) for run in runs
         )
-    elif mode == "streaming":
-        runs = payload.get("streaming", [])
-        measured = sum(run.get("wall_seconds", 0.0) for run in runs)
     else:
         measured = payload.get("measured_seconds", 0.0)
     extra["report_events_per_mbp"] = payload.get("report_events_per_mbp", 0.0)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from ..baselines.base import available_baselines, get_baseline
-from ..core import bitparallel
 from ..core.compiler import CompiledLibrary, SearchBudget, compile_library
+from ..core.parallel import ParallelSearch
 from ..engines.base import available_engines, build_profile, get_engine
 from ..genome.sequence import Sequence
 from ..genome.synthetic import random_genome
@@ -49,9 +49,9 @@ class StandardWorkload:
     budget: SearchBudget = SearchBudget(mismatches=3)
     seed: int = 20180224  # HPCA'18 dates, for determinism with a wink
     gc_content: float = 0.41
-    #: process count for the functional hit enumeration; 1 = the
-    #: single-threaded kernel, anything else shards across a pool
-    #: (results are identical either way — the differential suite pins it).
+    #: process count for the functional hit enumeration; 1 = in-process,
+    #: anything else shards across a pool (results are identical either
+    #: way — the differential suite pins it).
     functional_workers: int = 1
 
     @cached_property
@@ -120,31 +120,13 @@ class StandardWorkload:
     def functional_run(self) -> tuple[list, dict]:
         """The functional hit enumeration plus its observability stats.
 
-        Sharded runs carry the full :class:`~repro.core.parallel`
-        stats (per-shard timings, retries, recovery paths); the serial
-        kernel reports its wall time and report rate in the same shape
-        the CLI's ``--stats-json`` uses.
+        The stats are :class:`~repro.core.parallel.ParallelSearch`'s
+        (per-shard timings, retries, recovery paths), the shape the
+        CLI's ``--stats-json`` uses.
         """
-        if self.functional_workers != 1:
-            from ..core.parallel import ParallelSearch
-
-            hits, stats = ParallelSearch(
-                self.library, self.budget, workers=self.functional_workers
-            ).search_with_stats(self.genome)
-            return hits, stats
-        import time
-
-        started = time.perf_counter()
-        hits = bitparallel.find_hits(self.genome, self.library, self.budget)
-        wall = time.perf_counter() - started
-        stats = {
-            "workers": 1,
-            "pooled": False,
-            "wall_seconds": wall,
-            "kernel_positions": len(self.genome),
-            "report_events": len(hits),
-        }
-        return hits, stats
+        return ParallelSearch(
+            self.library, self.budget, workers=self.functional_workers
+        ).search_with_stats(self.genome)
 
     @property
     def functional_hits(self):

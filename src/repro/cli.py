@@ -121,15 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("bed", "tsv"), default="bed", help="output format"
     )
     search.add_argument(
-        "--chunked",
-        action="store_true",
-        help="stream each sequence in bounded-memory chunks",
-    )
-    search.add_argument(
         "--chunk-length",
         type=_positive_int,
-        default=1 << 20,
-        help="chunk size for --chunked / --workers",
+        default=None,
+        help="genome chunk size for --workers (default 1048576)",
     )
     search.add_argument(
         "--workers",
@@ -509,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_search(args: argparse.Namespace) -> int:
     from .analysis.report_io import write_bed, write_tsv
     from .core.parallel import ParallelSearch
-    from .core.streaming import StreamingSearch
 
+    if args.chunk_length is not None and args.workers is None:
+        raise ReproError("--chunk-length needs --workers (it sizes the shards)")
     records = read_fasta(args.reference)
     library = parse_guide_table(args.guides, pam=args.pam)
     budget = _budget_from(args)
@@ -535,7 +531,7 @@ def _command_search(args: argparse.Namespace) -> int:
             library,
             budget,
             workers=args.workers,
-            chunk_length=args.chunk_length,
+            chunk_length=args.chunk_length or (1 << 20),
             shard_timeout=args.shard_timeout,
             max_retries=args.max_retries,
         )
@@ -551,18 +547,6 @@ def _command_search(args: argparse.Namespace) -> int:
             f"{len(records)} sequence(s), {len(hits)} hits, {retries} retries",
             file=sys.stderr,
         )
-    elif args.chunked:
-        streaming = StreamingSearch(library, budget, chunk_length=args.chunk_length)
-        per_sequence = []
-        for record in records:
-            sequence_hits, sequence_stats = streaming.search_with_stats(
-                record.sequence
-            )
-            hits.extend(sequence_hits)
-            per_sequence.append({"sequence": record.sequence.name, **sequence_stats})
-        stats_payload["mode"] = "streaming"
-        stats_payload["streaming"] = per_sequence
-        print(f"# streamed {len(records)} sequence(s), {len(hits)} hits", file=sys.stderr)
     else:
         search = OffTargetSearch(library, budget)
         stats_payload["mode"] = "engine"

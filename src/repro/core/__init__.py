@@ -6,7 +6,7 @@ from .bulge import build_bulge_nfa, BulgeBudget
 from .compiler import CompiledGuide, CompiledLibrary, compile_guide, compile_library
 from .reference import NaiveSearcher
 from .search import OffTargetSearch, SearchBudget, SearchReport
-from .streaming import StreamingSearch, iter_chunks, Chunk
+from .streaming import iter_chunks, Chunk
 from .counter_design import build_counter_design, counter_design_resources
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "OffTargetSearch",
     "SearchBudget",
     "SearchReport",
-    "StreamingSearch",
     "iter_chunks",
     "Chunk",
     "build_counter_design",

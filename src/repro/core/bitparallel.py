@@ -79,14 +79,13 @@ to the banded-DP matcher and the naive oracle.
 
 Block boundaries
 ----------------
-The kernel is windowed, so blocks compose exactly like the streaming
-path: scan blocks that overlap by ``max_site_length - 1`` symbols (the
+The kernel is windowed, so blocks compose exactly like genome chunks:
+scan blocks that overlap by ``max_site_length - 1`` symbols (the
 carry — every site straddling a boundary lies wholly inside one block;
 for bulged budgets the longest site is ``site_length + dna_bulges``)
 and drop hits whose end falls inside a block's overlapped prefix.
-:class:`~repro.core.streaming.StreamingSearch` and
-:class:`~repro.core.parallel.ParallelSearch` both drive this kernel
-through exactly that rule, so every execution path stays bit-identical
+:class:`~repro.core.parallel.ParallelSearch` drives this kernel
+through exactly that rule, so every chunked path stays bit-identical
 to the whole-genome scan and to the :class:`~repro.core.reference`
 oracle — the property ``tests/differential.py`` pins across the full
 engine x genome x panel x budget grid.

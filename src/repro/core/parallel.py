@@ -4,7 +4,9 @@ The paper's platforms get their throughput from spatial parallelism:
 every guide automaton consumes the symbol stream simultaneously. The
 functional Python path is a single-threaded loop, so this module
 recovers host-side parallelism the way multi-core DNA-scanning systems
-do: shard the work, fan the shards across processes, merge.
+do: shard the work, fan the shards across processes, merge. With
+``workers=1`` the same shards run in-process, one chunk after another,
+so this is also the serial chunked scanner.
 
 Work is sharded along two axes:
 
@@ -12,18 +14,20 @@ Work is sharded along two axes:
   :func:`repro.core.streaming.iter_chunks`, so a site straddling a
   chunk boundary is still found exactly once (hits wholly inside a
   chunk's overlapped prefix were already reported by the previous
-  chunk and are dropped, the same rule :class:`StreamingSearch` pins);
+  chunk and are dropped);
 * **guide batches** — disjoint slices of the guide library, so large
   libraries scale past the chunk count.
 
-Workers receive cheap-to-pickle payloads only: 2-bit packed chunk
-codes (:class:`~repro.genome.sequence.TwoBitSequence` bytes), plain
-guide records and the :class:`SearchBudget` — never automaton
-objects. Each worker compiles a
-:class:`~repro.core.bitparallel.BitParallelPanel` and scans its shard;
-the parent merges shard results in shard order and canonically dedupes,
-so the final hit list is **bit-identical** to :class:`StreamingSearch`
-and to the whole-genome kernel regardless of worker count, chunk size, or
+A shard carries its chunk's codes as a view into the genome's code
+array, so building the shards copies nothing and pickling one to a
+worker ships only that chunk's bytes, alongside plain guide records and
+the :class:`SearchBudget` — never automaton objects. Pool workers
+compile a :class:`~repro.core.bitparallel.BitParallelPanel` per shard;
+the in-process path compiles each guide batch's panel once per run and
+scans every chunk with it. :func:`_search_shard` scans one shard on
+both paths. The parent merges shard results in shard order and
+canonically dedupes, so the final hit list is **bit-identical** to the
+whole-genome kernel regardless of worker count, chunk size, or
 scheduling order — the property the differential test suite pins
 against the :class:`~repro.core.reference.NaiveSearcher` oracle.
 
@@ -79,7 +83,7 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import EngineError
-from ..genome.sequence import Sequence, TwoBitSequence
+from ..genome.sequence import Sequence
 from ..grna.guide import Guide
 from ..grna.hit import OffTargetHit, dedupe_hits
 from ..obs import Metrics
@@ -174,23 +178,25 @@ class FaultPlan:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One unit of worker work: a packed genome chunk × a guide batch.
+    """One unit of work: a genome chunk × a guide batch.
 
-    Every field pickles cheaply: the chunk travels as 2-bit packed
-    bytes plus its ``N`` bitmap, guides as small frozen records, the
-    budget as three ints. The worker rebuilds the chunk
-    :class:`Sequence`, compiles the panel locally and scans it.
+    ``codes`` is the chunk's slice of the genome's code array, a view
+    rather than a copy; pickling the task to a worker ships just that
+    slice. Guides travel as small frozen records and the budget as
+    three ints, so a worker compiles the panel itself.
     """
 
     shard_id: int
     sequence_name: str
     chunk_start: int
     chunk_overlap: int
-    chunk_length: int
-    packed: bytes
-    n_mask: bytes
+    codes: np.ndarray
     guides: tuple[Guide, ...]
     budget: SearchBudget
+
+    @property
+    def chunk_length(self) -> int:
+        return int(self.codes.size)
 
 
 @dataclass(frozen=True)
@@ -208,19 +214,21 @@ class ShardResult:
         return len(self.hits)
 
 
-def _search_shard(task: ShardTask) -> ShardResult:
-    """Worker entry point (top-level so it pickles under any start method)."""
+def _search_shard(
+    task: ShardTask, panel: bitparallel.BitParallelPanel | None = None
+) -> ShardResult:
+    """Scan one shard: the routine pool workers and the in-process path share.
+
+    Pool workers pass no *panel* and compile their own; the in-process
+    path passes the one it compiled for the shard's guide batch.
+    """
     started = time.perf_counter()
-    packed = np.frombuffer(task.packed, dtype=np.uint8)
-    n_mask = np.frombuffer(task.n_mask, dtype=np.uint8)
-    chunk = TwoBitSequence(packed, n_mask, task.chunk_length).unpack(
-        name=task.sequence_name
-    )
-    panel = bitparallel.BitParallelPanel(task.guides, task.budget)
+    if panel is None:
+        panel = bitparallel.BitParallelPanel(task.guides, task.budget)
     hits: list[OffTargetHit] = []
-    for hit in panel.find_hits(chunk):
+    for hit in panel.find_hits(Sequence(task.sequence_name, task.codes)):
         # A hit wholly inside the overlapped prefix was already
-        # reported by the previous chunk's shard (streaming.py rule).
+        # reported by the previous chunk's shard.
         if task.chunk_overlap and hit.end <= task.chunk_overlap:
             continue
         hits.append(
@@ -245,14 +253,18 @@ def _corrupted(result: ShardResult) -> ShardResult:
     return replace(result, hits=result.hits + (bogus,))
 
 
-def _run_shard(payload: tuple[ShardTask, str | None, float, int]) -> ShardResult:
+def _run_shard(
+    payload: tuple[ShardTask, str | None, float, int],
+    panel: bitparallel.BitParallelPanel | None = None,
+) -> ShardResult:
     """Worker entry point with fault injection (top-level, picklable).
 
-    *payload* is ``(task, fault_kind, hang_seconds, parent_pid)``. A
-    ``kill`` fault exits the worker process abruptly (raising instead
-    when running inside the parent, so in-process execution stays
-    alive); a ``hang`` fault stalls before computing; ``corrupt``
-    computes honestly and then mangles the payload.
+    *payload* is ``(task, fault_kind, hang_seconds, parent_pid)``;
+    *panel* is passed through to :func:`_search_shard`. A ``kill``
+    fault exits the worker process abruptly (raising instead when
+    running inside the parent, so in-process execution stays alive); a
+    ``hang`` fault stalls before computing; ``corrupt`` computes
+    honestly and then mangles the payload.
     """
     task, fault, hang_seconds, parent_pid = payload
     if fault == "hang":
@@ -261,7 +273,7 @@ def _run_shard(payload: tuple[ShardTask, str | None, float, int]) -> ShardResult
         if os.getpid() != parent_pid:
             os._exit(1)
         raise ShardError(f"injected kill of shard {task.shard_id}", kind="kill")
-    result = _search_shard(task)
+    result = _search_shard(task, panel)
     if fault == "corrupt":
         return _corrupted(result)
     return result
@@ -338,13 +350,12 @@ class _ShardState:
 class ParallelSearch:
     """Sharded multi-process off-target search with supervised recovery.
 
-    Results are guaranteed identical to :class:`StreamingSearch` (and
-    therefore to a whole-genome :func:`~repro.core.bitparallel.find_hits`)
-    for every worker count, chunk size, and recovery path: the chunk
-    axis reuses the streaming overlap semantics, the guide axis
-    partitions disjoint hit keys, every retry re-runs the same
-    deterministic kernel on the same payload, and the merge is
-    order-canonical.
+    Results are guaranteed identical to a whole-genome
+    :func:`~repro.core.bitparallel.find_hits` for every worker count,
+    chunk size, and recovery path: the chunk axis drops each chunk's
+    overlapped-prefix hits, the guide axis partitions disjoint hit
+    keys, every retry re-runs the same deterministic kernel on the same
+    payload, and the merge is order-canonical.
 
     Parameters
     ----------
@@ -469,9 +480,6 @@ class ParallelSearch:
         for chunk in iter_chunks(
             genome, chunk_length=self._chunk_length, overlap=self._overlap
         ):
-            two_bit = TwoBitSequence.pack(chunk.sequence)
-            packed = two_bit.packed_bytes
-            n_mask = two_bit.n_mask_bytes
             for batch in batches:
                 tasks.append(
                     ShardTask(
@@ -479,9 +487,7 @@ class ParallelSearch:
                         sequence_name=genome.name,
                         chunk_start=chunk.start,
                         chunk_overlap=chunk.overlap,
-                        chunk_length=len(chunk),
-                        packed=packed,
-                        n_mask=n_mask,
+                        codes=chunk.sequence.codes,
                         guides=batch,
                         budget=self._budget,
                     )
@@ -555,6 +561,11 @@ class ParallelSearch:
         be detected and the attempt simply completes.
         """
         parent_pid = os.getpid()
+        # One compiled panel per guide batch serves every chunk of the run.
+        guides = state.task.guides
+        if guides not in run["panels"]:
+            run["panels"][guides] = bitparallel.BitParallelPanel(guides, self._budget)
+        panel = run["panels"][guides]
         for arena_attempt in range(1 + self._max_retries):
             attempt = state.attempts + 1
             state.attempts = attempt
@@ -567,7 +578,7 @@ class ParallelSearch:
                             f"injected hang of shard {state.task.shard_id} "
                             f"(attempt {attempt}, in-process)"
                         )
-                result = _run_shard((state.task, fault, 0.0, parent_pid))
+                result = _run_shard((state.task, fault, 0.0, parent_pid), panel)
                 defect = validate_shard_result(state.task, result)
                 if defect:
                     raise ShardError(
@@ -764,7 +775,7 @@ class ParallelSearch:
             self._execute_pooled(states, run, metrics)
 
     def search(self, genome: Sequence) -> list[OffTargetHit]:
-        """Search one sequence; identical to the serial/streaming paths."""
+        """Search one sequence; identical to the whole-genome kernel."""
         hits, _ = self.search_with_stats(genome)
         return hits
 
@@ -797,6 +808,7 @@ class ParallelSearch:
             ),
             "backoff_waits": 0,
             "in_process_rescues": 0,
+            "panels": {},
         }
         with metrics.span("execute", shards=len(tasks)):
             self._execute(states, run, metrics)

@@ -1,31 +1,25 @@
-"""Chunked (bounded-memory) genome streaming search.
+"""Overlapping genome chunks: the windows every chunked scan streams.
 
-Whole mammalian references do not fit comfortably in memory as code
-arrays, and the original tools stream them in chunks (Cas-OFFinder's
-chunked OpenCL buffers; the AP's symbol stream is inherently chunked by
-DMA transfers). This module searches a reference chunk by chunk with an
-overlap of ``max_site_length - 1`` symbols so sites straddling a chunk
-boundary are found exactly once, and guarantees the result is identical
-to a whole-sequence search — a property the test suite pins.
-
-It also exposes the chunk iterator itself, which the examples use to
-stream multi-record FASTA files without materialising chromosomes.
+Whole mammalian references do not fit comfortably in memory as one
+scan's working set, and the original tools stream them in chunks
+(Cas-OFFinder's chunked OpenCL buffers; the AP's symbol stream is
+inherently chunked by DMA transfers). :func:`iter_chunks` cuts a
+sequence into windows that overlap by ``max_site_length - 1`` symbols,
+so every site straddling a chunk boundary lies wholly inside one chunk;
+a scanner drops the hits wholly inside a chunk's overlapped prefix,
+which the previous chunk already reported.
+:class:`~repro.core.parallel.ParallelSearch` is that scanner, serial
+(``workers=1``) or pooled, and the test suite pins its result to the
+whole-sequence search.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Iterator
 
 from ..errors import EngineError
 from ..genome.sequence import Sequence
-from ..grna.guide import Guide
-from ..grna.hit import OffTargetHit, dedupe_hits
-from . import bitparallel
-from .compiler import SearchBudget
 
 
 @dataclass(frozen=True)
@@ -51,6 +45,8 @@ def iter_chunks(
 
     Every symbol position appears in at least one chunk; every window
     of length ``overlap + 1`` or less lies entirely inside some chunk.
+    Each chunk's codes are a view into *genome*'s code array, not a
+    copy.
     """
     if chunk_length <= 0:
         raise EngineError("chunk_length must be positive")
@@ -63,9 +59,8 @@ def iter_chunks(
     start = 0
     while True:
         end = min(start + chunk_length, total)
-        codes = genome.codes[start:end]
         yield Chunk(
-            sequence=Sequence(genome.name, codes.copy()),
+            sequence=Sequence(genome.name, genome.codes[start:end]),
             start=start,
             overlap=overlap if start else 0,
         )
@@ -84,137 +79,3 @@ def iter_chunks(
             # keeps the no-duplicated-tail invariant explicit and makes
             # any future change to the stepping arithmetic fail safe.
             break
-
-
-class StreamingSearch:
-    """Bounded-memory off-target search over arbitrarily long references.
-
-    The overlap is derived from the guide set: the longest possible
-    site is ``site_length + dna_bulges``, so an overlap one shorter
-    guarantees no site is split. Hits found in the overlapped prefix of
-    a chunk are duplicates of the previous chunk's and are dropped by
-    span filtering; remaining duplicates (none expected) are collapsed
-    by the canonical dedupe.
-
-    :meth:`search_with_stats` additionally reports per-chunk kernel
-    timings, positions scanned, and report-event rates through
-    :class:`repro.obs.Metrics` — the same observability surface the
-    parallel executor exposes.
-    """
-
-    def __init__(
-        self,
-        guides: Iterable[Guide],
-        budget: SearchBudget,
-        *,
-        chunk_length: int = 1 << 20,
-    ) -> None:
-        guide_list = list(guides)
-        if not guide_list:
-            raise EngineError("streaming search needs at least one guide")
-        self._guides = guide_list
-        self._budget = budget
-        self._panel = bitparallel.BitParallelPanel(guide_list, budget)
-        max_site = max(g.site_length for g in guide_list) + budget.dna_bulges
-        self._overlap = max_site - 1
-        if chunk_length <= self._overlap:
-            raise EngineError(
-                f"chunk_length {chunk_length} must exceed the overlap {self._overlap}"
-            )
-        self._chunk_length = chunk_length
-
-    @property
-    def overlap(self) -> int:
-        return self._overlap
-
-    @property
-    def chunk_length(self) -> int:
-        return self._chunk_length
-
-    def search(self, genome: Sequence) -> list[OffTargetHit]:
-        """Search one sequence chunk-by-chunk; identical to whole-genome."""
-        return dedupe_hits(self.iter_hits(genome))
-
-    def search_with_stats(self, genome: Sequence) -> tuple[list[OffTargetHit], dict]:
-        """Search plus per-chunk timing and report-rate stats.
-
-        The hit list is identical to :meth:`search`; the stats dict
-        carries one row per chunk (kernel seconds, positions, kept
-        hits), the scan totals, and a :class:`repro.obs.Metrics`
-        snapshot under ``"obs"``.
-        """
-        from ..obs import Metrics
-
-        metrics = Metrics()
-        started = time.perf_counter()
-        hits: list[OffTargetHit] = []
-        chunk_rows: list[dict] = []
-        for chunk in iter_chunks(
-            genome, chunk_length=self._chunk_length, overlap=self._overlap
-        ):
-            chunk_started = time.perf_counter()
-            kept = list(self._chunk_hits(chunk, genome.name))
-            chunk_seconds = time.perf_counter() - chunk_started
-            hits.extend(kept)
-            metrics.incr("streaming.chunks")
-            metrics.incr("streaming.kernel_positions", len(chunk))
-            metrics.incr("streaming.report_events", len(kept))
-            metrics.observe("streaming.chunk_seconds", chunk_seconds)
-            chunk_rows.append(
-                {
-                    "chunk_start": chunk.start,
-                    "length": len(chunk),
-                    "seconds": chunk_seconds,
-                    "hits": len(kept),
-                }
-            )
-        deduped = dedupe_hits(hits)
-        wall = time.perf_counter() - started
-        positions = int(metrics.counter("streaming.kernel_positions"))
-        stats = {
-            "chunk_length": self._chunk_length,
-            "overlap": self._overlap,
-            "num_chunks": len(chunk_rows),
-            "chunks": chunk_rows,
-            "kernel_positions": positions,
-            "report_events": len(deduped),
-            "report_events_per_mbp": (
-                1e6 * len(deduped) / positions if positions else 0.0
-            ),
-            "wall_seconds": wall,
-            "obs": metrics.snapshot(),
-        }
-        return deduped, stats
-
-    def iter_hits(self, genome: Sequence) -> Iterator[OffTargetHit]:
-        """Yield hits incrementally as chunks are processed."""
-        for chunk in iter_chunks(
-            genome, chunk_length=self._chunk_length, overlap=self._overlap
-        ):
-            yield from self._chunk_hits(chunk, genome.name)
-
-    def _chunk_hits(self, chunk: Chunk, genome_name: str) -> Iterator[OffTargetHit]:
-        """One chunk's hits in absolute coordinates, boundary-deduped."""
-        for hit in self._panel.find_hits(chunk.sequence):
-            # A hit wholly inside the overlapped prefix was already
-            # reported by the previous chunk.
-            if chunk.overlap and hit.end <= chunk.overlap:
-                continue
-            yield OffTargetHit(
-                guide_name=hit.guide_name,
-                sequence_name=genome_name,
-                strand=hit.strand,
-                start=hit.start + chunk.start,
-                end=hit.end + chunk.start,
-                mismatches=hit.mismatches,
-                rna_bulges=hit.rna_bulges,
-                dna_bulges=hit.dna_bulges,
-                site=hit.site,
-            )
-
-    def search_many(self, genomes: Iterable[Sequence]) -> list[OffTargetHit]:
-        """Search several sequences (chromosomes) in one pass each."""
-        hits: list[OffTargetHit] = []
-        for genome in genomes:
-            hits.extend(self.iter_hits(genome))
-        return dedupe_hits(hits)

@@ -148,16 +148,6 @@ class TwoBitSequence:
         """Storage footprint in bytes (packed payload + N bitmap)."""
         return int(self._packed.nbytes + self._n_mask.nbytes)
 
-    @property
-    def packed_bytes(self) -> bytes:
-        """The packed two-bit payload as immutable bytes (wire format)."""
-        return self._packed.tobytes()
-
-    @property
-    def n_mask_bytes(self) -> bytes:
-        """The ``N`` bitmap as immutable bytes (wire format)."""
-        return self._n_mask.tobytes()
-
     def unpack(self, name: str = "unpacked") -> Sequence:
         """Expand back into a :class:`Sequence`."""
         quads = np.empty((self._packed.size, 4), dtype=np.uint8)

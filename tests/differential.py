@@ -2,11 +2,11 @@
 
 One place for the oracle-comparison logic the suite used to duplicate
 across ``test_parallel.py``, ``test_faults.py``, and ``test_chaos.py``:
-every functional execution path — kernels, the chunked stream, the
-sharded pool, the public search API — must produce **bit-identical**
-results (same hits, positions, strands, mismatch counts, canonical
-dedupe order) to the :class:`~repro.core.reference.NaiveSearcher`
-ground truth.
+every functional execution path — kernels, the chunked executor
+(in-process by default, pooled when a case sets ``workers``), the
+public search API — must produce **bit-identical** results (same hits,
+positions, strands, mismatch counts, canonical dedupe order) to the
+:class:`~repro.core.reference.NaiveSearcher` ground truth.
 
 The harness has three layers:
 
@@ -38,7 +38,6 @@ from repro import (
     OffTargetSearch,
     ParallelSearch,
     SearchBudget,
-    StreamingSearch,
     random_genome,
     sample_guides_from_genome,
 )
@@ -53,7 +52,7 @@ from helpers import hit_multiset
 #: Whole-genome kernels (no chunking involved).
 KERNEL_ENGINES = ("naive", "matcher", "bitparallel")
 #: Chunked/sharded/public paths (exercise the block-boundary carry).
-CHUNKED_ENGINES = ("streaming", "parallel", "search-api")
+CHUNKED_ENGINES = ("parallel", "search-api")
 #: Every engine the harness can run.
 ALL_ENGINES = KERNEL_ENGINES + CHUNKED_ENGINES
 
@@ -74,7 +73,7 @@ class DifferentialCase:
 
     @property
     def overlap(self) -> int:
-        """The streaming/sharding overlap this case's panel derives."""
+        """The chunk overlap this case's panel derives."""
         return (
             max(g.site_length for g in self.guides)
             + self.budget.dna_bulges
@@ -135,8 +134,6 @@ def run_engine(name: str, case: DifferentialCase) -> list[OffTargetHit]:
         return matcher.find_hits(genome, guides, budget)
     if name == "bitparallel":
         return bitparallel.find_hits(genome, guides, budget)
-    if name == "streaming":
-        return StreamingSearch(guides, budget, chunk_length=chunk).search(genome)
     if name == "parallel":
         return ParallelSearch(
             guides,

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import NaiveSearcher, SearchBudget, StreamingSearch, random_genome
+from repro import NaiveSearcher, ParallelSearch, SearchBudget, random_genome
 from repro.core import bitparallel, matcher
 from repro.core.bitparallel import BitParallelPanel, _prefix_mask, _shift_down
 from repro.errors import EngineError
@@ -86,13 +86,16 @@ class TestPropertySweep:
     def test_chunk_boundary_straddles_match_oracle(
         self, seed, mismatches, chunk_choice
     ):
-        # The kernel is windowed: drive it through the streaming path
-        # with adversarial chunk lengths so sites straddle boundaries.
+        # The kernel is windowed: drive it through the in-process chunked
+        # executor with adversarial chunk lengths so sites straddle
+        # boundaries.
         genome = random_genome(900, seed=seed, name="chrStraddle")
         guide = Guide("g", genome.text[40:60].replace("N", "A"))
         budget = SearchBudget(mismatches=mismatches)
         chunk = adversarial_chunk_length(guide.site_length - 1, len(genome), chunk_choice)
-        streamed = StreamingSearch([guide], budget, chunk_length=chunk).search(genome)
+        streamed = ParallelSearch(
+            [guide], budget, workers=1, chunk_length=chunk
+        ).search(genome)
         assert streamed == oracle(genome, [guide], budget)
 
 
@@ -316,7 +319,7 @@ class TestKernelApi:
             BitParallelPanel([], SearchBudget())
 
     def test_panel_reusable_across_blocks(self, library):
-        # One compiled panel, many blocks — the streaming usage pattern.
+        # One compiled panel, many blocks — the in-process executor's usage.
         budget = SearchBudget(mismatches=2)
         panel = BitParallelPanel(library, budget)
         for seed in (1, 2, 3):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.results import load_stats_json
 from repro.cli import build_parser, main
+from repro.errors import ReproError
 from repro.genome.fasta import write_fasta
 from repro.genome.synthetic import random_genome
 
@@ -147,6 +148,17 @@ class TestSearchWorkers:
             main(["search", str(reference), str(guide_table), "--workers", "0"])
         assert excinfo.value.code == 2
 
+    def test_chunk_length_without_workers_exits_2(self, reference, guide_table, capsys):
+        # Only --workers reads the chunk length; a lone --chunk-length
+        # must not be silently ignored.
+        code = main(
+            ["search", str(reference), str(guide_table), "--chunk-length", "10"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --chunk-length needs --workers (it sizes the shards)\n"
+
 
 class TestBadInputs:
     """Exit codes and stderr for malformed invocations, pinned."""
@@ -226,15 +238,20 @@ class TestStatsJson:
         assert ft["retries"] == 0
         assert ft["timeouts"] == 0
 
-    def test_streaming_mode_payload(self, reference, guide_table, tmp_path, capsys):
-        payload, _ = self._run(
-            reference, guide_table, tmp_path, "--chunked", "--chunk-length", "8192"
-        )
-        capsys.readouterr()
-        assert payload["mode"] == "streaming"
-        run = payload["streaming"][0]
-        assert run["num_chunks"] == len(run["chunks"])
-        assert run["wall_seconds"] >= 0.0
+    def test_streaming_mode_payload(self, tmp_path):
+        # Stats files from the deleted chunked-streaming search mode carry
+        # mode "streaming"; loading one must fail by name, not read as an
+        # engine run that measured nothing.
+        path = tmp_path / "stats.json"
+        payload = {
+            "command": "search",
+            "mode": "streaming",
+            "num_hits": 3,
+            "streaming": [{"sequence": "chrCli", "wall_seconds": 0.5}],
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReproError, match="unknown stats mode 'streaming'"):
+            load_stats_json(path)
 
     def test_stats_json_to_stdout(self, reference, guide_table, tmp_path, capsys):
         out_path = tmp_path / "hits.bed"

@@ -9,8 +9,8 @@ from repro import (
     Guide,
     GuideLibrary,
     OffTargetSearch,
+    ParallelSearch,
     SearchBudget,
-    StreamingSearch,
     random_genome,
     read_fasta,
     write_fasta,
@@ -91,7 +91,9 @@ class TestStreamingMatchesApi:
         genome, _ = plant_sites(genome, guides, per_guide=3, mismatches=1, seed=318)
         budget = SearchBudget(mismatches=2)
         api_hits = OffTargetSearch(guides, budget).run(genome).hits
-        streamed = StreamingSearch(guides, budget, chunk_length=9_000).search(genome)
+        streamed = ParallelSearch(
+            guides, budget, workers=1, chunk_length=9_000
+        ).search(genome)
         assert hit_spans(streamed) == hit_spans(api_hits)
 
 
@@ -168,7 +170,7 @@ class TestCliEndToEnd:
         ]
         subprocess.run(common + ["--out", str(plain_out)], check=True, capture_output=True)
         subprocess.run(
-            common + ["--out", str(chunked_out), "--chunked", "--chunk-length", "7000"],
+            common + ["--out", str(chunked_out), "--workers", "1", "--chunk-length", "7000"],
             check=True,
             capture_output=True,
         )

@@ -1,7 +1,7 @@
 """Unit and integration tests for the observability layer.
 
 :mod:`repro.obs` is the single instrumentation primitive threaded
-through the pipeline (engines, streaming, sharded, and the top-level
+through the pipeline (engines, the chunked executor, and the top-level
 :class:`OffTargetSearch`). These tests pin the ``Metrics`` semantics —
 counters, timer distributions, span nesting, JSON snapshots, and
 cross-process merging — and then check each pipeline layer actually
@@ -18,7 +18,6 @@ from repro import (
     OffTargetSearch,
     ParallelSearch,
     SearchBudget,
-    StreamingSearch,
     compile_library,
     random_genome,
     sample_guides_from_genome,
@@ -230,22 +229,24 @@ class TestEngineInstrumentation:
 
 
 class TestStreamingInstrumentation:
+    """The in-process chunk stream: ``ParallelSearch(workers=1)``."""
+
     def test_search_with_stats_matches_search(self, genome, guides, budget):
-        streaming = StreamingSearch(guides, budget, chunk_length=900)
+        streaming = ParallelSearch(guides, budget, workers=1, chunk_length=900)
         hits, stats = streaming.search_with_stats(genome)
         assert hits == streaming.search(genome)
-        assert stats["num_chunks"] == len(stats["chunks"])
+        assert stats["num_chunks"] == len(stats["shards"]) > 1
         assert stats["kernel_positions"] >= len(genome)
         assert stats["report_events"] >= len(hits)
         assert stats["wall_seconds"] >= 0.0
-        assert stats["report_events_per_mbp"] >= 0.0
         json.dumps(stats)
 
     def test_chunk_rows_cover_sequence(self, genome, guides, budget):
-        streaming = StreamingSearch(guides, budget, chunk_length=900)
+        streaming = ParallelSearch(guides, budget, workers=1, chunk_length=900)
         _, stats = streaming.search_with_stats(genome)
-        last = stats["chunks"][-1]
-        assert last["chunk_start"] + last["length"] == len(genome)
+        last = streaming.shard_tasks(genome)[-1]
+        assert stats["shards"][-1]["chunk_start"] == last.chunk_start
+        assert last.chunk_start + last.chunk_length == len(genome)
 
 
 class TestParallelInstrumentation:

@@ -1,11 +1,11 @@
-"""Differential tests pinning ParallelSearch to the serial paths.
+"""Differential tests pinning ParallelSearch to the whole-genome paths.
 
-The parallel executor's correctness story: for every genome, guide
-set, budget, worker count, chunk size, and scheduling order, the
-sharded search must produce the *identical* hit list as
+The chunked executor's correctness story: for every genome, guide
+set, budget, worker count (``workers=1`` is the in-process chunk
+stream), chunk size, and scheduling order, the sharded search must
+produce the *identical* hit list as
 
-* the whole-genome vectorised kernel (``matcher.find_hits``),
-* the chunked serial path (``StreamingSearch``), and
+* the whole-genome kernels (``matcher.find_hits``, ``bitparallel``), and
 * the independent ground-truth oracle (``NaiveSearcher``).
 
 Property tests sweep randomised inputs (including adversarial chunk
@@ -18,6 +18,7 @@ explicitly.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,11 +27,10 @@ from repro import (
     OffTargetSearch,
     ParallelSearch,
     SearchBudget,
-    StreamingSearch,
     random_genome,
     sample_guides_from_genome,
 )
-from repro.core import matcher
+from repro.core import bitparallel, matcher
 from repro.core import parallel as parallel_module
 from repro.core.parallel import ShardTask, _search_shard, merge_shards
 from repro.errors import EngineError
@@ -62,6 +62,7 @@ genome_text = st.text(alphabet="ACGTN", min_size=0, max_size=260)
 def test_parallel_equals_streaming_equals_oracle(
     text, protos, mismatches, workers, chunk_choice
 ):
+    # With workers=1 the parallel engine is the in-process chunk stream.
     genome = Sequence.from_text("chr", text)
     guides = tuple(Guide(f"g{i}", proto) for i, proto in enumerate(protos))
     budget = SearchBudget(mismatches=mismatches)
@@ -73,9 +74,7 @@ def test_parallel_equals_streaming_equals_oracle(
         chunk_length=_chunk_length_for(overlap, len(genome), chunk_choice),
         workers=workers,
     )
-    assert_engines_agree(
-        case, engines=("streaming", "matcher", "bitparallel", "parallel")
-    )
+    assert_engines_agree(case, engines=("matcher", "bitparallel", "parallel"))
 
 
 @settings(max_examples=8, deadline=None)
@@ -240,8 +239,8 @@ class TestBoundaryStraddle:
         assert [h.start for h in hits] == [position]
 
     def test_shard_filter_matches_streaming_rule(self, guide):
-        # Every shard must apply exactly the streaming dedupe rule:
-        # union of shard hits == streaming hits, with no duplicates.
+        # Every shard must apply exactly the overlapped-prefix rule:
+        # union of shard hits == whole-genome hits, with no duplicates.
         site = guide.site_length
         text = self._genome_with_target_at(guide, self.CHUNK - site + 3, total=700)
         genome = Sequence.from_text("chrB", text)
@@ -252,10 +251,8 @@ class TestBoundaryStraddle:
         shard_hits = []
         for task in executor.shard_tasks(genome):
             shard_hits.extend(_search_shard(task).hits)
-        streamed = StreamingSearch(
-            [guide], budget, chunk_length=self.CHUNK
-        ).search(genome)
-        assert hit_multiset(shard_hits) == hit_multiset(streamed)
+        whole = matcher.find_hits(genome, [guide], budget)
+        assert hit_multiset(shard_hits) == hit_multiset(whole)
         keys = [h.key for h in shard_hits]
         assert len(keys) == len(set(keys))
 
@@ -382,13 +379,41 @@ class TestExecutor:
         assert hits == []
         assert stats["num_shards"] == 0
 
-    def test_task_payloads_are_packed(self, genome, guides):
-        executor = ParallelSearch(guides, SearchBudget(), workers=2, chunk_length=16_000)
-        task = executor.shard_tasks(genome)[0]
-        assert isinstance(task, ShardTask)
-        assert isinstance(task.packed, bytes)
-        # 2-bit packing: four bases per byte (plus the N bitmap).
-        assert len(task.packed) == (task.chunk_length + 3) // 4
+    def test_task_codes_are_views_of_the_genome(self):
+        genome = random_genome(6000, seed=45, name="chrView")
+        guides = sample_guides_from_genome(genome, 2, seed=46)
+        budget = SearchBudget(mismatches=2)
+        executor = ParallelSearch(guides, budget, workers=2, chunk_length=1500)
+        tasks = executor.shard_tasks(genome)
+        assert len(tasks) > 2
+        for task in tasks:
+            assert isinstance(task, ShardTask)
+            assert np.shares_memory(task.codes, genome.codes)
+            assert task.chunk_length == len(task.codes)
+        # Pickled to pool workers, the views still scan to the oracle.
+        hits, stats = executor.search_with_stats(genome)
+        assert stats["pooled"] is True
+        assert hits == NaiveSearcher(budget).search(genome, guides)
+
+    def test_in_process_run_compiles_each_batch_panel_once(
+        self, genome, guides, monkeypatch
+    ):
+        compiled = []
+
+        class CountingPanel(bitparallel.BitParallelPanel):
+            def __init__(self, panel_guides, budget):
+                compiled.append(tuple(panel_guides))
+                super().__init__(panel_guides, budget)
+
+        monkeypatch.setattr(bitparallel, "BitParallelPanel", CountingPanel)
+        budget = SearchBudget(mismatches=2)
+        executor = ParallelSearch(
+            guides, budget, workers=1, chunk_length=16_000, guide_batch_size=2
+        )
+        hits, stats = executor.search_with_stats(genome)
+        assert stats["num_chunks"] > 1
+        assert compiled == executor.guide_batches
+        assert hits == matcher.find_hits(genome, guides, budget)
 
     def test_validation(self, guides):
         with pytest.raises(EngineError):

@@ -303,13 +303,15 @@ def test_budget_monotonicity(text, proto, mismatches):
     chunk_length=st.integers(min_value=40, max_value=120),
 )
 def test_streaming_equals_whole_genome(text, proto, mismatches, chunk_length):
-    from repro.core.streaming import StreamingSearch
+    from repro.core.parallel import ParallelSearch
 
     genome = Sequence.from_text("chr", text)
     guide = Guide("g", proto)
     budget = SearchBudget(mismatches=mismatches)
     whole = matcher.find_hits(genome, [guide], budget)
-    chunked = StreamingSearch([guide], budget, chunk_length=chunk_length).search(genome)
+    chunked = ParallelSearch(
+        [guide], budget, workers=1, chunk_length=chunk_length
+    ).search(genome)
     assert hit_spans(chunked) == hit_spans(whole)
 
 

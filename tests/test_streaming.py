@@ -1,8 +1,8 @@
-"""Unit tests for the chunked streaming search."""
+"""Unit tests for the overlapping chunk iterator and the chunk stream."""
 
 import pytest
 
-from repro import SearchBudget, StreamingSearch, random_genome, sample_guides_from_genome
+from repro import ParallelSearch, SearchBudget, random_genome, sample_guides_from_genome
 from repro.core import matcher
 from repro.core.streaming import iter_chunks
 from repro.errors import EngineError
@@ -84,6 +84,8 @@ class TestIterChunks:
 
 
 class TestStreamingSearch:
+    """The in-process chunk stream: ``ParallelSearch(workers=1)``."""
+
     @pytest.fixture(scope="class")
     def genome(self):
         return random_genome(120_000, seed=86, name="chrStream")
@@ -92,17 +94,21 @@ class TestStreamingSearch:
     def guides(self, genome):
         return sample_guides_from_genome(genome, 3, seed=87)
 
+    @staticmethod
+    def stream(guides, budget, **kwargs):
+        return ParallelSearch(guides, budget, workers=1, **kwargs)
+
     @pytest.mark.parametrize("chunk_length", [4096, 10_000, 65_536])
     def test_identical_to_whole_genome(self, genome, guides, chunk_length):
         budget = SearchBudget(mismatches=3)
         whole = matcher.find_hits(genome, guides, budget)
-        chunked = StreamingSearch(guides, budget, chunk_length=chunk_length).search(genome)
+        chunked = self.stream(guides, budget, chunk_length=chunk_length).search(genome)
         assert hit_spans(chunked) == hit_spans(whole)
 
     def test_identical_with_bulges(self, genome, guides):
         budget = SearchBudget(mismatches=1, rna_bulges=1, dna_bulges=1)
         whole = matcher.find_hits(genome, guides, budget)
-        chunked = StreamingSearch(guides, budget, chunk_length=8192).search(genome)
+        chunked = self.stream(guides, budget, chunk_length=8192).search(genome)
         assert hit_spans(chunked) == hit_spans(whole)
 
     def test_boundary_straddling_site_found(self, guides):
@@ -119,19 +125,19 @@ class TestStreamingSearch:
         )
         genome = Sequence.from_text("chrB", text)
         budget = SearchBudget(mismatches=0)
-        hits = StreamingSearch([guide], budget, chunk_length=chunk_length).search(genome)
+        hits = self.stream([guide], budget, chunk_length=chunk_length).search(genome)
         assert any(h.start == prefix_len for h in hits)
 
     def test_overlap_derived_from_budget(self, guides):
-        no_bulges = StreamingSearch(guides, SearchBudget(mismatches=2))
-        bulged = StreamingSearch(guides, SearchBudget(mismatches=2, dna_bulges=2))
+        no_bulges = self.stream(guides, SearchBudget(mismatches=2))
+        bulged = self.stream(guides, SearchBudget(mismatches=2, dna_bulges=2))
         assert bulged.overlap == no_bulges.overlap + 2
 
     def test_search_many(self, guides):
         chr1 = random_genome(30_000, seed=90, name="chr1")
         chr2 = random_genome(30_000, seed=91, name="chr2")
         budget = SearchBudget(mismatches=3)
-        streamed = StreamingSearch(guides, budget, chunk_length=7000).search_many(
+        streamed = self.stream(guides, budget, chunk_length=7000).search_many(
             [chr1, chr2]
         )
         whole = matcher.find_hits(chr1, guides, budget) + matcher.find_hits(
@@ -143,19 +149,19 @@ class TestStreamingSearch:
         budget = SearchBudget(mismatches=2)
         whole = matcher.find_hits(genome, guides, budget)
         for delta in (-1, 0, 1):
-            chunked = StreamingSearch(
+            chunked = self.stream(
                 guides, budget, chunk_length=len(genome) + delta
             ).search(genome)
             assert hit_spans(chunked) == hit_spans(whole)
 
     def test_no_duplicate_hits(self, genome, guides):
         budget = SearchBudget(mismatches=3)
-        hits = StreamingSearch(guides, budget, chunk_length=5000).search(genome)
+        hits = self.stream(guides, budget, chunk_length=5000).search(genome)
         keys = [h.key for h in hits]
         assert len(keys) == len(set(keys))
 
     def test_validation(self, guides):
         with pytest.raises(EngineError):
-            StreamingSearch([], SearchBudget())
+            self.stream([], SearchBudget())
         with pytest.raises(EngineError):
-            StreamingSearch(guides, SearchBudget(), chunk_length=10)
+            self.stream(guides, SearchBudget(), chunk_length=10)
