@@ -1,9 +1,10 @@
 """F12 — Bit-parallel kernel throughput versus the byte-wise LUT scan.
 
-The bit-parallel Shift-And kernel (`repro.core.bitparallel`) evaluates
-64 genome start positions per machine word and shares the packed code
-planes across the whole guide panel; the LUT matcher gathers one byte
-per (pattern position, genome symbol). This table streams both over
+The bit-parallel Shift-And kernel (`repro.core.bitparallel`) checks each
+PAM layout's exact positions once per block and counts mismatches only
+at the starts that pass, 64 per machine word, with every guide of a PAM
+layout stacked into one array; the LUT matcher gathers one byte per
+(pattern position, genome symbol). This table streams both over
 the same chunks — ``ParallelSearch(workers=1)`` for the bit-parallel
 kernel, the reference matcher driven per chunk by ``MatcherStream`` with
 identical overlap and dedupe — so the ratio isolates the kernel, in

@@ -593,9 +593,9 @@ def require_capacity(compiled: CompiledLibrary, spec: ApSpec | FpgaSpec) -> None
 
 
 #: Planes per strand pattern above which CAP006 warns: 64 uint64 rows
-#: per genome word is the point where one pattern's banded state stops
-#: fitting alongside the code planes in a typical L2 slice and the
-#: kernel's per-block cost becomes budget-shaped instead of flat.
+#: per lane word is the point where one pattern's banded state stops
+#: fitting alongside the gathered lane boards in a typical L2 slice and
+#: the kernel's per-block cost becomes budget-shaped instead of flat.
 KERNEL_PLANE_WARN_THRESHOLD = 64
 
 
@@ -609,7 +609,8 @@ def kernel_plane_diagnostics(compiled: CompiledLibrary) -> CheckReport:
     so every extra band a budget asks for is a whole extra plane set,
     per guide, per strand. Mismatch-only budgets price as the
     thermometer set (``mismatches`` counting planes plus the exceed
-    and exact boards). CAP005 reports the breakdown; CAP006 warns when
+    plane); the PAM is checked once per lane group, not per pattern.
+    CAP005 reports the breakdown; CAP006 warns when
     one pattern's plane count crosses
     :data:`KERNEL_PLANE_WARN_THRESHOLD`.
     """
@@ -624,10 +625,8 @@ def kernel_plane_diagnostics(compiled: CompiledLibrary) -> CheckReport:
             f"x {budget.mismatches + 1} mismatch plane(s)"
         )
     else:
-        planes_per_pattern = budget.mismatches + 2
-        shape = (
-            f"{budget.mismatches} thermometer plane(s) + exceed + exact boards"
-        )
+        planes_per_pattern = budget.mismatches + 1
+        shape = f"{budget.mismatches} thermometer plane(s) + exceed"
     patterns = 2 * len(compiled)
     report.add(
         Diagnostic(
@@ -635,7 +634,7 @@ def kernel_plane_diagnostics(compiled: CompiledLibrary) -> CheckReport:
             "CAP005",
             f"bit-parallel kernel: {planes_per_pattern} state plane(s) per "
             f"strand pattern ({shape}); {patterns} pattern(s) -> "
-            f"{planes_per_pattern * patterns} plane-rows per genome word",
+            f"{planes_per_pattern * patterns} plane-rows per lane word",
             subject="kernel",
         )
     )

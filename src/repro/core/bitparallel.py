@@ -4,59 +4,77 @@ This is the dense, hardware-friendly execution form the automata
 literature arrives at when it trades compile time for symbol-rate: the
 mismatch-counting grid of :mod:`repro.core.hamming` collapses into a
 handful of machine-word bitboards, and one numpy pass over packed
-words evaluates 64 genome start positions at once. It is the one
-functional kernel every execution path runs, for **every** budget shape
-— mismatch-only budgets run the thermometer-plane scan, bulged budgets
-run the diagonal-band engine below. The byte-wise LUT scan of
-:mod:`repro.core.matcher` stays only as an independent reference for the
-differential tests and the baselines.
+words evaluates 64 candidate starts at once. It is the one functional
+kernel every execution path runs, for **every** budget shape —
+mismatch-only budgets run the thermometer-plane scan, bulged budgets
+run the diagonal-band engine below. Like the Cas-OFFinder baseline, it
+checks the PAM first and counts mismatches only at the starts whose
+PAM matches. The byte-wise LUT scan of :mod:`repro.core.matcher` stays
+only as an independent reference for the differential tests and the
+baselines.
 
 Bit-plane layout
 ----------------
-A genome block of ``n`` symbols becomes five *code planes* — one
-bitboard per symbol code (A, C, G, T, N), ``bit p`` set when position
-``p`` carries that code — stored as little-endian ``uint64`` words so
-word ``w`` holds positions ``[64w, 64w + 64)``. The planes are built
-once per block (`numpy.packbits`) and shared by every guide, strand,
-and pattern position of the panel.
+The panel's strand patterns (protospacer + PAM segments, already
+oriented by :func:`repro.core.compiler._segments`) fall into *lane
+groups*: patterns of one length whose exact (PAM) positions sit at the
+same offsets with the same masks. That is one group per PAM layout and
+strand, whatever the protospacers, and a group's patterns share their
+budgeted positions by construction.
 
-For one strand pattern (protospacer + PAM segments, already oriented
-by :func:`repro.core.compiler._segments`), position ``t``'s *match
-board* is the OR of the code planes selected by the symbol's 5-bit
-IUPAC mask (:func:`repro.alphabet.iupac_code_mask` — so a genome ``N``
-matches only a pattern ``N``, exactly as the oracle counts it).
-Shifting the board down by ``t`` bits aligns it with candidate *start*
-positions: after the shift, ``bit s`` answers "does the site starting
-at ``s`` match at pattern offset ``t``?".
+In each genome block of ``n`` symbols, a group tests its exact
+positions once, straight from the codes (for a bulged budget, the
+union over length deltas of the per-delta PAM-and-bounds checks
+below). The starts that pass are the group's *lanes*: lane ``i`` is
+start ``starts[i]``, and a *lane board* is a little-endian ``uint64``
+bitboard whose word ``w`` holds lanes ``[64w, 64w + 64)``. NGG keeps
+about one start in sixteen of a GC-0.41 genome; a PAM that admits
+every start (a custom ``N``) keeps them all and runs the same way.
+
+Pattern offset ``u``'s *lane code boards* — one per symbol code (A, C,
+G, T, N), bit ``i`` set when ``codes[starts[i] + u]`` carries that
+code — come from one gather, ``codes[starts + u]``. A read past the
+block end sets no bit in any of them, so it matches nothing. A pattern
+position's *match board* is the OR of the code boards its 5-bit IUPAC
+mask selects (:func:`repro.alphabet.iupac_code_mask` — so a genome
+``N`` matches only a pattern ``N``, exactly as the oracle counts it).
+Only a few boards per offset are alive at a time, so the temporaries
+stay O(lanes).
 
 Counting uses thermometer bit-planes, one plane per mismatch-budget
-level: ``ge[j]`` has ``bit s`` set when start ``s`` has accumulated at
-least ``j + 1`` mismatches, and one more plane (``exceed``) saturates
-at budget + 1. Folding pattern position ``t``'s mismatch board ``x``
-into the counters is ``k + 1`` word-ops::
+level, each stacked over the group as one ``(patterns, lane_words)``
+array: row ``p`` of ``ge[j]`` has bit ``i`` set when pattern ``p`` has
+accumulated at least ``j + 1`` mismatches at lane ``i``, and one more
+plane (``exceed``) saturates at budget + 1. Folding budgeted position
+``t``'s mismatch boards ``x`` — every pattern's, stacked the same way
+— into the counters is ``k + 1`` array ops for the whole group::
 
     exceed |= ge[k-1] & x
     ge[j]  |= ge[j-1] & x      # j = k-1 .. 1
     ge[0]  |= x
 
-Exact (PAM) positions skip the counters and AND into a single ``ok``
-board instead. A start is a hit when ``ok & ~exceed`` — and its exact
-mismatch count is the number of ``ge`` planes with its bit set (the
-thermometer cannot saturate below ``exceed``), so hits carry the same
-counts the oracle reports, for free.
+A lane is a hit of pattern ``p`` when its bit in ``exceed[p]`` is
+clear (its PAM already matched), and its exact mismatch count is the
+number of ``ge`` planes with its bit set (the thermometer cannot
+saturate below ``exceed``), so hits carry the same counts the oracle
+reports, for free. Hits map back to genome starts through ``starts``.
 
 Diagonal bulge bands
 --------------------
 A bulged budget (``r`` RNA bulges, ``d`` DNA bulges, ``k``
-mismatches) runs a Wu-Manber-style banded engine instead: one
-Shift-And state plane per ``(rna, dna, mismatch)`` coordinate of
-:mod:`repro.core.bulge`'s grid, held as one
-``(r+1, d+1, k+1, nwords)`` array of bitboards. A cell ``(r', d')``
-always sits on diagonal band ``d' - r'`` — its genome offset is the
-pattern position plus that band — so aligning pattern position ``i``
-needs only ``r + d + 1`` shifted copies of one match board, gathered
-per cell by band index. Each step folds three transition families, in
-exactly :func:`repro.core.bulge._build_grid`'s order and with its
+mismatches) runs a Wu-Manber-style banded engine instead, over the
+same lanes: one Shift-And state plane per ``(rna, dna, mismatch)``
+coordinate of :mod:`repro.core.bulge`'s grid, held as one
+``(patterns, r+1, d+1, k+1, lane_words)`` array of lane boards that
+stacks the group's patterns as the thermometer does. A cell ``(r',
+d')`` always sits on diagonal band ``d' - r'`` — its genome offset is
+the pattern position plus that band — so aligning pattern position
+``i`` needs the match boards of only ``r + d + 1`` offsets, gathered
+per cell by band index. Each offset's code boards are gathered once
+and serve every band and pattern that reads them; a cell whose offset
+would fall before the protospacer (``i + band < 0``) reads an
+all-zero board. Each step folds three transition families, in exactly
+:func:`repro.core.bulge._build_grid`'s order and with its
 interior-only rules:
 
 * **DNA bulge** (:func:`_band_transfer`): band ``d'`` feeds band
@@ -70,9 +88,10 @@ interior-only rules:
   — plane ``(r', d')`` ORs into ``(r' + 1, d')`` — for interior
   positions only (``0 < i < m - 1``).
 
-Acceptance masks each final plane by its delta's exact-segment (PAM)
-board — PAM positions after the protospacer shift by ``delta = d' -
-r'`` — and by a per-delta bounds prefix, then keeps the best profile
+Acceptance masks each final plane by its delta's lane board — the
+lanes whose exact-segment (PAM) positions match when those after the
+protospacer shift by ``delta = d' - r'``, and whose site of length
+``total + delta`` ends inside the block — then keeps the best profile
 per (start, delta) under the canonical order (fewest total edits,
 then fewest bulges, then fewest mismatches), which is bit-identical
 to the banded-DP matcher and the naive oracle.
@@ -94,7 +113,7 @@ engine x genome x panel x budget grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence as SequenceType, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence as SequenceType, Tuple
 
 import numpy as np
 
@@ -106,6 +125,18 @@ from ..grna.hit import OffTargetHit, dedupe_hits
 from .compiler import SearchBudget, _segments
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: The mask of a pattern ``N``: every genome code satisfies it.
+_ANY_CODE = (1 << alphabet.NUM_CODES) - 1
+
+#: What a lane reads past the block end: a code no 5-bit mask selects.
+_PAST_END = alphabet.NUM_CODES
+
+#: A pattern's exact positions: ``(offset, mask, shifts with delta)``.
+_Exact = Tuple[Tuple[int, int, bool], ...]
+
+#: The 5-bit genome-code mask of every IUPAC pattern symbol.
+_CODE_MASKS = {symbol: alphabet.iupac_code_mask(symbol) for symbol in alphabet.IUPAC}
 
 
 def find_hits(
@@ -136,9 +167,8 @@ def _compile_strand(guide: Guide, strand: str) -> _StrandPattern:
     masks: list[int] = []
     budgeted: list[bool] = []
     for segment in _segments(guide, reverse=strand == "-"):
-        for symbol in segment.text:
-            masks.append(alphabet.iupac_code_mask(symbol))
-            budgeted.append(segment.budgeted)
+        masks.extend(_CODE_MASKS[symbol] for symbol in segment.text)
+        budgeted.extend([segment.budgeted] * len(segment.text))
     return _StrandPattern(
         guide=guide, strand=strand, masks=tuple(masks), budgeted=tuple(budgeted)
     )
@@ -146,17 +176,18 @@ def _compile_strand(guide: Guide, strand: str) -> _StrandPattern:
 
 @dataclass(frozen=True)
 class _BulgeLayout:
-    """One strand pattern split for the diagonal-band engine.
+    """One strand pattern split into its budgeted run and exact positions.
 
     ``_segments`` guarantees exactly one budgeted segment (the
     protospacer), so the budgeted positions form one contiguous run at
     offset ``b_off``; exact (PAM) positions after that run shift with
-    the site's length delta, positions before it do not.
+    a bulged site's length delta, positions before it do not. The
+    pattern's length and exact positions key its lane group.
     """
 
     b_off: int  # pattern offset of the budgeted run
     budgeted_masks: tuple[int, ...]
-    exact: tuple[tuple[int, int, bool], ...]  # (offset, mask, shifts with delta)
+    exact: _Exact
 
 
 def _bulge_layout(pattern: _StrandPattern) -> _BulgeLayout:
@@ -173,38 +204,51 @@ def _bulge_layout(pattern: _StrandPattern) -> _BulgeLayout:
     )
 
 
+@dataclass(frozen=True)
+class _LaneGroup:
+    """Strand patterns that keep the same lanes in every block.
+
+    Patterns of one length whose exact positions carry the same masks
+    admit exactly the same starts, so one exact-position filter serves
+    the whole group. They share the budgeted run ``[b_off, b_off +
+    len(columns))`` too; ``columns[t]`` holds the distinct masks at its
+    ``t``-th position and, per pattern, the index of that pattern's mask
+    among them.
+    """
+
+    total: int
+    b_off: int
+    exact: _Exact
+    indices: tuple[int, ...]  # the members' indices in the panel's pattern list
+    columns: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _lane_groups(patterns: SequenceType[_StrandPattern]) -> tuple[_LaneGroup, ...]:
+    """Sort *patterns* into lane groups, keyed by length and exact positions."""
+    members: Dict[Tuple[int, _Exact], List[Tuple[int, _BulgeLayout]]] = {}
+    for index, pattern in enumerate(patterns):
+        layout = _bulge_layout(pattern)
+        members.setdefault((pattern.total, layout.exact), []).append((index, layout))
+    groups = []
+    for (total, exact), entries in members.items():
+        columns = []
+        for column in zip(*(layout.budgeted_masks for _, layout in entries)):
+            distinct = sorted(set(column))
+            inverse = [distinct.index(mask) for mask in column]
+            columns.append((np.array(distinct, dtype=np.uint8), np.array(inverse)))
+        groups.append(
+            _LaneGroup(
+                total=total,
+                b_off=entries[0][1].b_off,
+                exact=exact,
+                indices=tuple(index for index, _ in entries),
+                columns=tuple(columns),
+            )
+        )
+    return tuple(groups)
+
+
 # -- bitboard primitives -------------------------------------------------------
-
-
-def _pack_code_planes(codes: np.ndarray) -> np.ndarray:
-    """``(NUM_CODES, nwords)`` little-endian bitboards: bit p == (codes[p] == c)."""
-    n = int(codes.size)
-    nwords = (n + 63) // 64
-    planes = np.zeros((alphabet.NUM_CODES, nwords), dtype=np.uint64)
-    for code in range(alphabet.NUM_CODES):
-        bits = np.packbits(codes == code, bitorder="little")
-        padded = np.zeros(nwords * 8, dtype=np.uint8)
-        padded[: bits.size] = bits
-        planes[code] = padded.view(np.uint64)
-    return planes
-
-
-def _shift_down(words: np.ndarray, t: int) -> np.ndarray:
-    """Logical right-shift of a bitboard by *t* positions (bit s := bit s+t)."""
-    if t == 0:
-        return words
-    whole, rem = divmod(t, 64)
-    out = np.zeros_like(words)
-    keep = words.size - whole
-    if keep <= 0:
-        return out
-    if rem == 0:
-        out[:keep] = words[whole:]
-    else:
-        out[:keep] = words[whole:] >> np.uint64(rem)
-        if keep > 1:
-            out[: keep - 1] |= words[whole + 1 :] << np.uint64(64 - rem)
-    return out
 
 
 def _prefix_mask(nwords: int, count: int) -> np.ndarray:
@@ -228,6 +272,12 @@ def _board_starts(board: np.ndarray) -> np.ndarray:
     return (hot_words[:, None] * 64 + np.arange(64, dtype=np.int64)[None, :])[lanes]
 
 
+def _bits_at(board: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Bit ``positions[i]`` of a flat little-endian *board*, as 0/1."""
+    shifts = (positions & 7).astype(np.uint8)
+    return (board.view(np.uint8)[positions >> 3] >> shifts) & 1
+
+
 def _popcount(board: np.ndarray) -> int:
     """Total number of set bits in *board*."""
     bitwise_count = getattr(np, "bitwise_count", None)
@@ -236,70 +286,98 @@ def _popcount(board: np.ndarray) -> int:
     return int(np.unpackbits(board.view(np.uint8)).sum())
 
 
-class _BlockPlanes:
-    """One genome block's code planes plus a match-board cache.
+def _exact_filter(
+    codes: np.ndarray, exact: _Exact, limit: int, delta: int
+) -> np.ndarray:
+    """Bool per start ``[0, limit)``: do all exact positions match?
 
-    Every distinct IUPAC mask in the panel resolves to one OR-combined
-    board per block, shared across guides, strands, and positions.
+    Exact positions after the budgeted run sit *delta* further on (a
+    bulged site's length delta). One that lands before the site start
+    admits no start: only an RNA budget beyond the protospacer's
+    interior gets there, and those bands are unreachable.
+    """
+    ok = np.ones(limit, dtype=bool)
+    for offset, mask, shifts in exact:
+        position = offset + (delta if shifts else 0)
+        if position < 0:
+            return np.zeros(limit, dtype=bool)
+        if mask != _ANY_CODE:
+            window = codes[position : position + limit]
+            ok &= ((np.uint8(mask) >> window) & 1).view(bool)
+    return ok
+
+
+class _Lanes:
+    """The starts of one block that a lane group keeps.
+
+    Lane ``i`` is start ``starts[i]`` (ascending); a lane board holds
+    lane ``i`` at bit ``i % 64`` of word ``i // 64``.
     """
 
-    def __init__(self, codes: np.ndarray) -> None:
-        self.length = int(codes.size)
-        self.nwords = (self.length + 63) // 64
-        self._planes = _pack_code_planes(codes)
-        self._boards: dict[int, np.ndarray] = {}
+    def __init__(self, codes: np.ndarray, starts: np.ndarray) -> None:
+        self.codes = codes
+        self.starts = starts
+        self.count = int(starts.size)
+        self.nwords = (self.count + 63) // 64
 
-    def match_board(self, mask: int) -> np.ndarray:
-        """Bitboard of positions whose code satisfies the 5-bit *mask*."""
-        board = self._boards.get(mask)
-        if board is None:
-            board = np.zeros(self.nwords, dtype=np.uint64)
-            for code in range(alphabet.NUM_CODES):
-                if (mask >> code) & 1:
-                    board |= self._planes[code]
-            self._boards[mask] = board
-        return board
+    def gather(self, offset: int) -> np.ndarray:
+        """``codes[starts[i] + offset]`` per lane ``i``, one gather.
+
+        A read past the block end (a suffix of the lanes, as the starts
+        ascend) gives ``_PAST_END``, which satisfies no mask.
+        """
+        inside = int(self.starts.searchsorted(self.codes.size - offset))
+        gathered = self.codes[offset:][self.starts[:inside]]
+        if inside == self.count:
+            return gathered
+        return np.concatenate(
+            [gathered, np.full(self.count - inside, _PAST_END, dtype=np.uint8)]
+        )
+
+    def boards(self, gathered: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Lane boards of gathered codes, one per mask.
+
+        *gathered* holds one code per lane along its last axis (one
+        offset, or a stack of them); the result has shape
+        ``(len(masks),) + gathered.shape[:-1] + (nwords,)``, and bit
+        ``i`` of ``[r, ...]`` is set iff ``gathered[..., i]`` satisfies
+        the 5-bit ``masks[r]``. Padding bits past the last lane stay
+        clear.
+        """
+        shape = masks.shape + gathered.shape[:-1]
+        bits = np.zeros(shape + (self.nwords * 64,), dtype=np.uint8)
+        column = masks.reshape(masks.shape + (1,) * gathered.ndim)
+        np.bitwise_and(column >> gathered, 1, out=bits[..., : self.count])
+        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
 
 # -- the mismatch-only scan ----------------------------------------------------
 
 
-def _scan_strand(
-    planes: _BlockPlanes, pattern: _StrandPattern, max_mismatches: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """All (starts, mismatch counts) of *pattern* in the block, sorted."""
-    valid = planes.length - pattern.total + 1
-    empty = np.zeros(0, dtype=np.int64)
-    if valid <= 0:
-        return empty, empty
-    nwords = planes.nwords
-    ok = np.full(nwords, _ALL_ONES, dtype=np.uint64)
-    exceed = np.zeros(nwords, dtype=np.uint64)
-    # ge[j]: starts with >= j + 1 mismatches so far (thermometer planes).
-    ge = [np.zeros(nwords, dtype=np.uint64) for _ in range(max_mismatches)]
-    for t, (mask, budgeted) in enumerate(zip(pattern.masks, pattern.budgeted)):
-        board = _shift_down(planes.match_board(mask), t)
-        if budgeted:
-            miss = ~board
+def _thermometer(
+    codes: np.ndarray, group: _LaneGroup, max_mismatches: int
+) -> tuple[_Lanes, np.ndarray, np.ndarray]:
+    """``(lanes, hit, ge)`` of every pattern of *group* in the block.
+
+    ``hit[p]`` is pattern ``p``'s lane board of hits; ``ge[j, p]`` its
+    thermometer plane of at least ``j + 1`` mismatches.
+    """
+    valid = max(codes.size - group.total + 1, 0)
+    lanes = _Lanes(codes, np.flatnonzero(_exact_filter(codes, group.exact, valid, 0)))
+    shape = (len(group.indices), lanes.nwords)
+    exceed = np.zeros(shape, dtype=np.uint64)
+    ge = np.zeros((max_mismatches,) + shape, dtype=np.uint64)
+    if lanes.count:
+        for t, (masks, inverse) in enumerate(group.columns):
+            miss = ~lanes.boards(lanes.gather(group.b_off + t), masks)[inverse]
             if max_mismatches == 0:
                 exceed |= miss
-            else:
-                exceed |= ge[max_mismatches - 1] & miss
-                for j in range(max_mismatches - 1, 0, -1):
-                    ge[j] |= ge[j - 1] & miss
-                ge[0] |= miss
-        else:
-            ok &= board
-    selected = ok & ~exceed & _prefix_mask(nwords, valid)
-    starts = _board_starts(selected)
-    if starts.size == 0:
-        return empty, empty
-    counts = np.zeros(starts.size, dtype=np.int64)
-    byte_index = starts >> 3
-    bit_shift = (starts & 7).astype(np.uint8)
-    for plane in ge:
-        counts += (plane.view(np.uint8)[byte_index] >> bit_shift) & 1
-    return starts, counts
+                continue
+            exceed |= ge[max_mismatches - 1] & miss
+            for j in range(max_mismatches - 1, 0, -1):
+                ge[j] |= ge[j - 1] & miss
+            ge[0] |= miss
+    return lanes, ~exceed & _prefix_mask(lanes.nwords, lanes.count), ge
 
 
 # -- the diagonal-band bulged scan ---------------------------------------------
@@ -308,115 +386,127 @@ def _scan_strand(
 def _band_transfer(reach: np.ndarray) -> None:
     """In-place DNA-bulge closure of one pattern layer.
 
-    *reach* has shape ``(rna + 1, dna + 1, mm + 1, nwords)``. Band
+    *reach* has shape ``(..., rna + 1, dna + 1, mm + 1, nwords)``. Band
     ``d`` feeds band ``d + 1``, chained ascending so one layer can
     spend several DNA bulges back-to-back — the chained any-symbol
     edges of :func:`repro.core.bulge._build_grid`. The genome offset
     step is implicit: cell ``(r, d)`` always reads offset
     ``i + d - r``, so moving to ``d + 1`` *is* consuming one symbol.
     """
-    for d in range(reach.shape[1] - 1):
-        reach[:, d + 1] |= reach[:, d]
+    for d in range(reach.shape[-3] - 1):
+        reach[..., d + 1, :, :] |= reach[..., d, :, :]
 
 
-def _bulged_reach(
-    planes: _BlockPlanes, layout: _BulgeLayout, budget: SearchBudget
-) -> np.ndarray:
-    """Final-layer reachability planes ``reach[r, d, j]`` over all starts.
+def _bulged_lanes(
+    codes: np.ndarray, group: _LaneGroup, budget: SearchBudget
+) -> tuple[_Lanes, Dict[int, np.ndarray]]:
+    """The group's lanes under a bulged budget, and each delta's lane board.
 
-    Bit ``s`` of ``reach[r, d, j]`` is set when some alignment of the
-    budgeted segment starting at genome position ``s + b_off`` uses
-    exactly ``j`` mismatches, ``r`` RNA bulges and ``d`` DNA bulges —
-    the grid of :func:`repro.core.bulge._build_grid`, one bitboard per
-    state row, evaluated for 64 starts per word.
+    A start is a lane when, for some delta, a site of length ``total +
+    delta`` ends inside the block and its exact (PAM) positions match;
+    ``pam[delta]`` keeps the lanes where that holds for *delta* —
+    the matcher's per-delta ``pam_ok`` arrays, compressed to lanes.
+    """
+    n = codes.size
+    ok = {
+        delta: _exact_filter(
+            codes, group.exact, min(max(n - (group.total + delta) + 1, 0), n), delta
+        )
+        for delta in range(-budget.rna_bulges, budget.dna_bulges + 1)
+    }
+    union = np.zeros(max(starts.size for starts in ok.values()), dtype=bool)
+    for starts in ok.values():
+        union[: starts.size] |= starts
+    lanes = _Lanes(codes, np.flatnonzero(union))
+    pam = {}
+    for delta, starts in ok.items():
+        inside = int(lanes.starts.searchsorted(starts.size))
+        bits = np.zeros(lanes.nwords * 64, dtype=bool)
+        bits[:inside] = starts[lanes.starts[:inside]]
+        pam[delta] = np.packbits(bits, bitorder="little").view(np.uint64)
+    return lanes, pam
+
+
+def _bulged_reach(lanes: _Lanes, group: _LaneGroup, budget: SearchBudget) -> np.ndarray:
+    """Final-layer reachability planes ``reach[p, r, d, j]`` over the lanes.
+
+    Bit ``i`` of ``reach[p, r, d, j]`` is set when some alignment of
+    pattern ``p``'s budgeted segment starting at genome position
+    ``starts[i] + b_off`` uses exactly ``j`` mismatches, ``r`` RNA
+    bulges and ``d`` DNA bulges — the grid of
+    :func:`repro.core.bulge._build_grid`, one lane board per state row.
     """
     rna, dna, mm = budget.rna_bulges, budget.dna_bulges, budget.mismatches
-    m = len(layout.budgeted_masks)
-    nwords = planes.nwords
-    reach = np.zeros((rna + 1, dna + 1, mm + 1, nwords), dtype=np.uint64)
-    reach[0, 0, 0] = _ALL_ONES
-    # Gather index: cell (r, d) reads the shifted board of its band
-    # d - r (offset by +rna into the stacked board array).
+    m = len(group.columns)
+    reach = np.zeros(
+        (len(group.indices), rna + 1, dna + 1, mm + 1, lanes.nwords), dtype=np.uint64
+    )
+    reach[:, 0, 0, 0] = _ALL_ONES
+    # Gather index: cell (r, d) reads the board of its band d - r
+    # (offset by +rna into the stacked board array).
     band_index = (np.arange(dna + 1)[None, :] - np.arange(rna + 1)[:, None]) + rna
-    zero = np.zeros(nwords, dtype=np.uint64)
-    for i, mask in enumerate(layout.budgeted_masks):
+    # Row rna + band holds the codes band reads at the current step, at
+    # offset b_off + i + band. Each offset is gathered once, as the
+    # window slides one offset per step; a band whose offset falls
+    # before the protospacer (i + band < 0) reads _PAST_END, which
+    # matches nothing.
+    window = np.full((rna + dna + 1, lanes.count), _PAST_END, dtype=np.uint8)
+    for band in range(dna + 1):
+        window[rna + band] = lanes.gather(group.b_off + band)
+    for i, (masks, inverse) in enumerate(group.columns):
+        if i:
+            window[:-1] = window[1:]
+            window[-1] = lanes.gather(group.b_off + i + dna)
         if dna and 1 <= i <= m - 1:
             _band_transfer(reach)
-        base = planes.match_board(mask)
-        boards = np.stack(
-            [
-                _shift_down(base, layout.b_off + i + band) if i + band >= 0 else zero
-                for band in range(-rna, dna + 1)
-            ]
-        )
-        aligned = boards[band_index][:, :, None, :]
+        boards = lanes.boards(window, masks)[inverse]
+        aligned = boards[:, band_index][:, :, :, None, :]
         nxt = reach & aligned
         if mm:
-            nxt[:, :, 1:] |= reach[:, :, :mm] & ~aligned
+            nxt[:, :, :, 1:] |= reach[:, :, :, :mm] & ~aligned
         if rna and 0 < i < m - 1:
-            nxt[1:] |= reach[:rna]
+            nxt[:, 1:] |= reach[:, :rna]
         reach = nxt
     return reach
 
 
 def _bulged_accept_boards(
-    planes: _BlockPlanes,
-    pattern: _StrandPattern,
-    layout: _BulgeLayout,
-    budget: SearchBudget,
-) -> Dict[Tuple[int, int, int], np.ndarray]:
-    """Accepted-start bitboards per exact ``(mismatches, rna, dna)`` profile.
+    codes: np.ndarray, group: _LaneGroup, budget: SearchBudget
+) -> tuple[_Lanes, List[Dict[Tuple[int, int, int], np.ndarray]]]:
+    """The group's lanes, and per pattern its accepted-lane boards per
+    exact ``(mismatches, rna, dna)`` profile.
 
-    Each final reach plane is masked by its delta's exact-segment (PAM)
-    board — positions after the protospacer shift by ``delta = d - r``
-    — and by the per-delta bounds prefix (a site of length ``total +
-    delta`` must end inside the block), mirroring the matcher's
-    per-delta ``pam_ok`` arrays. Empty boards are dropped.
+    Each final reach plane is masked by its delta's lane board from
+    :func:`_bulged_lanes` (PAM match and bounds). Empty boards are
+    dropped.
     """
     rna, dna, mm = budget.rna_bulges, budget.dna_bulges, budget.mismatches
-    total = pattern.total
-    if planes.length < total - rna:
-        return {}
-    reach = _bulged_reach(planes, layout, budget)
-    nwords = planes.nwords
-    ok: dict[int, np.ndarray] = {}
-    for delta in range(-rna, dna + 1):
-        limit = planes.length - (total + delta) + 1
-        board = _prefix_mask(nwords, min(max(limit, 0), planes.length))
-        for offset, mask, shifts in layout.exact:
-            shift = offset + (delta if shifts else 0)
-            if shift < 0:
-                # Only possible when the RNA budget exceeds the
-                # protospacer's interior — those bands are unreachable.
-                board = np.zeros(nwords, dtype=np.uint64)
-                break
-            board = board & _shift_down(planes.match_board(mask), shift)
-        ok[delta] = board
-    accepted: Dict[Tuple[int, int, int], np.ndarray] = {}
-    for r in range(rna + 1):
-        for d in range(dna + 1):
-            pam = ok[d - r]
-            for j in range(mm + 1):
-                selected = reach[r, d, j] & pam
-                if selected.any():
-                    accepted[(j, r, d)] = selected
-    return accepted
+    lanes, pam = _bulged_lanes(codes, group, budget)
+    if lanes.count == 0:
+        return lanes, [{} for _ in group.indices]
+    reach = _bulged_reach(lanes, group, budget)
+    accepted: List[Dict[Tuple[int, int, int], np.ndarray]] = []
+    for planes in reach:
+        boards: Dict[Tuple[int, int, int], np.ndarray] = {}
+        for r in range(rna + 1):
+            for d in range(dna + 1):
+                for j in range(mm + 1):
+                    selected = planes[r, d, j] & pam[d - r]
+                    if selected.any():
+                        boards[(j, r, d)] = selected
+        accepted.append(boards)
+    return lanes, accepted
 
 
-def _scan_strand_bulged(
-    planes: _BlockPlanes,
-    pattern: _StrandPattern,
-    layout: _BulgeLayout,
-    budget: SearchBudget,
-) -> List[Tuple[np.ndarray, int, int, int, int]]:
-    """Best-profile rows ``(starts, mismatches, rna, dna, delta)``.
+def _best_profiles(
+    accepted: Dict[Tuple[int, int, int], np.ndarray], budget: SearchBudget
+) -> Iterator[Tuple[np.ndarray, int, int, int]]:
+    """Best-profile rows ``(lanes, mismatches, rna, dna)``.
 
-    Per (start, delta) only the canonically best profile is kept —
+    Per (lane, delta) only the canonically best profile is kept —
     fewest total edits, then fewest bulges, then fewest mismatches —
     exactly the matcher's and the oracle's selection rule.
     """
-    accepted = _bulged_accept_boards(planes, pattern, layout, budget)
-    rows: List[Tuple[np.ndarray, int, int, int, int]] = []
     for delta in range(-budget.rna_bulges, budget.dna_bulges + 1):
         profiles = sorted(
             (key for key in accepted if key[2] - key[1] == delta),
@@ -427,23 +517,34 @@ def _scan_strand_bulged(
             selected = accepted[(j, r, d)]
             if chosen is not None:
                 selected = selected & ~chosen
-            starts = _board_starts(selected)
-            if starts.size == 0:
+            lane_indices = _board_starts(selected)
+            if lane_indices.size == 0:
                 continue
             chosen = selected if chosen is None else chosen | selected
-            rows.append((starts, j, r, d, delta))
-    return rows
+            yield lane_indices, j, r, d
+
+
+# -- hit reporting -------------------------------------------------------------
+
+
+def _sites(codes: np.ndarray, starts: np.ndarray, length: int) -> List[str]:
+    """The + strand text of each window ``[start, start + length)``.
+
+    Decodes only the windows, never the whole block.
+    """
+    text = alphabet.decode(codes[starts[:, None] + np.arange(length)].ravel())
+    return [text[k : k + length] for k in range(0, len(text), length)]
 
 
 class BitParallelPanel:
     """A guide panel compiled for the bit-parallel kernel.
 
-    Compile once (pattern masks for every guide x strand, plus the
-    diagonal-band layouts when the budget allows bulges), then call
-    :meth:`find_hits` per genome block: the block's code planes and
-    match boards are built once and shared by the whole panel, which is
-    what makes the per-block work a handful of dense vector passes.
-    Bulged budgets run the banded engine natively.
+    Compile once (pattern masks for every guide x strand, sorted into
+    lane groups), then call :meth:`find_hits` per genome block: each
+    group filters the block's starts by its PAM once and counts
+    mismatches only on the lanes that pass, in a handful of dense
+    vector passes stacked over the group's patterns. Bulged budgets
+    run the banded engine natively.
     """
 
     def __init__(self, guides: Iterable[Guide], budget: SearchBudget) -> None:
@@ -456,11 +557,7 @@ class BitParallelPanel:
             for guide in guide_list
             for strand in ("+", "-")
         )
-        self._layouts: tuple[_BulgeLayout, ...] = (
-            tuple(_bulge_layout(pattern) for pattern in self._patterns)
-            if budget.has_bulges
-            else ()
-        )
+        self._groups = _lane_groups(self._patterns)
 
     @property
     def budget(self) -> SearchBudget:
@@ -470,56 +567,65 @@ class BitParallelPanel:
     def num_patterns(self) -> int:
         return len(self._patterns)
 
+    def _accepted(
+        self, codes: np.ndarray
+    ) -> Iterator[Tuple[int, _Lanes, Dict[Tuple[int, int, int], np.ndarray]]]:
+        """``(pattern index, lanes, accept boards)`` of every bulged pattern."""
+        for group in self._groups:
+            lanes, accepted = _bulged_accept_boards(codes, group, self._budget)
+            for index, boards in zip(group.indices, accepted):
+                yield index, lanes, boards
+
+    def _rows(
+        self, codes: np.ndarray
+    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, int, int]]:
+        """Hit rows ``(pattern index, starts, mismatches, rna, dna)`` of one block."""
+        if self._budget.has_bulges:
+            for index, lanes, accepted in self._accepted(codes):
+                for lane_indices, j, r, d in _best_profiles(accepted, self._budget):
+                    starts = lanes.starts[lane_indices]
+                    yield index, starts, np.full(starts.size, j), r, d
+            return
+        for group in self._groups:
+            lanes, hit, ge = _thermometer(codes, group, self._budget.mismatches)
+            per_pattern = lanes.nwords * 64
+            positions = _board_starts(hit.ravel())
+            counts = np.zeros(positions.size, dtype=np.int64)
+            for plane in ge:
+                counts += _bits_at(plane.ravel(), positions)
+            # Positions ascend, so each pattern's hits are one run.
+            edges = (positions // per_pattern).searchsorted(
+                np.arange(len(group.indices) + 1)
+            )
+            for row, index in enumerate(group.indices):
+                run = slice(edges[row], edges[row + 1])
+                if run.start < run.stop:
+                    lane_indices = positions[run] - row * per_pattern
+                    yield index, lanes.starts[lane_indices], counts[run], 0, 0
+
     def find_hits(self, genome: Sequence) -> list[OffTargetHit]:
         """All hits of the panel in *genome*, canonically deduped + sorted."""
-        bulged = self._budget.has_bulges
         if len(genome) == 0:
             return []
-        planes = _BlockPlanes(genome.codes)
-        text = genome.text
+        codes = genome.codes
         hits: list[OffTargetHit] = []
-        for index, pattern in enumerate(self._patterns):
+        for index, starts, mismatches, rna, dna in self._rows(codes):
+            pattern = self._patterns[index]
+            length = pattern.total + dna - rna
             reverse = pattern.strand == "-"
-            if bulged:
-                for starts, mismatches, rna, dna, delta in _scan_strand_bulged(
-                    planes, pattern, self._layouts[index], self._budget
-                ):
-                    length = pattern.total + delta
-                    for start in starts.tolist():
-                        site = text[start : start + length]
-                        if reverse:
-                            site = alphabet.reverse_complement(site)
-                        hits.append(
-                            OffTargetHit(
-                                guide_name=pattern.guide.name,
-                                sequence_name=genome.name,
-                                strand=pattern.strand,
-                                start=start,
-                                end=start + length,
-                                mismatches=mismatches,
-                                rna_bulges=rna,
-                                dna_bulges=dna,
-                                site=site,
-                            )
-                        )
-                continue
-            starts_array, counts = _scan_strand(
-                planes, pattern, self._budget.mismatches
-            )
-            total = pattern.total
-            for start, mismatches in zip(starts_array.tolist(), counts.tolist()):
-                site = text[start : start + total]
-                if reverse:
-                    site = alphabet.reverse_complement(site)
+            sites = _sites(codes, starts, length)
+            for start, count, site in zip(starts.tolist(), mismatches.tolist(), sites):
                 hits.append(
                     OffTargetHit(
                         guide_name=pattern.guide.name,
                         sequence_name=genome.name,
                         strand=pattern.strand,
                         start=start,
-                        end=start + total,
-                        mismatches=mismatches,
-                        site=site,
+                        end=start + length,
+                        mismatches=count,
+                        rna_bulges=rna,
+                        dna_bulges=dna,
+                        site=alphabet.reverse_complement(site) if reverse else site,
                     )
                 )
         return dedupe_hits(hits)
@@ -534,18 +640,17 @@ class BitParallelPanel:
         """
         if len(genome) == 0:
             return 0
-        planes = _BlockPlanes(genome.codes)
-        events = 0
-        for index, pattern in enumerate(self._patterns):
-            if self._budget.has_bulges:
-                boards = _bulged_accept_boards(
-                    planes, pattern, self._layouts[index], self._budget
-                )
-                events += sum(_popcount(board) for board in boards.values())
-            else:
-                starts, _ = _scan_strand(planes, pattern, self._budget.mismatches)
-                events += int(starts.size)
-        return events
+        codes = genome.codes
+        if self._budget.has_bulges:
+            return sum(
+                _popcount(board)
+                for _, _, accepted in self._accepted(codes)
+                for board in accepted.values()
+            )
+        return sum(
+            _popcount(_thermometer(codes, group, self._budget.mismatches)[1])
+            for group in self._groups
+        )
 
 
 def count_report_rows(

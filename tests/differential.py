@@ -408,6 +408,61 @@ def planted_bulge_cases() -> Iterator[DifferentialCase]:
         )
 
 
+# -- mixed-PAM panels ----------------------------------------------------------
+
+#: ``(name prefix, PAM, protospacer length)`` of each guide in a mixed
+#: panel. The kernel sorts strand patterns into one lane group per
+#: (length, PAM layout, strand), and the grid's NGG-only panels reach
+#: just two of them; this panel reaches ten: NGG, NRG, a 5'-PAM TTTV
+#: guide, a custom all-``N`` PAM (every start is a lane) and a 30-nt
+#: protospacer.
+MIXED_PAM_PANEL = (
+    ("ngg", "NGG", 20),
+    ("nrg", "NRG", 20),
+    ("tttv", "TTTV", 20),
+    ("anyN", "N", 20),
+    ("long", "NGG", 30),
+)
+
+
+def mixed_pam_panel(genome: Sequence, seed: int) -> tuple[Guide, ...]:
+    """One guide per :data:`MIXED_PAM_PANEL` entry, cut from *genome*."""
+    guides: list[Guide] = []
+    for index, (prefix, pam, length) in enumerate(MIXED_PAM_PANEL):
+        guides.extend(
+            sample_guides_from_genome(
+                genome,
+                1,
+                pam=pam,
+                protospacer_length=length,
+                seed=seed + index,
+                name_prefix=prefix,
+            )
+        )
+    return tuple(guides)
+
+
+def mixed_pam_cases() -> Iterator[DifferentialCase]:
+    """Mixed-PAM panels under mm=2 and (1,1,1) bulges, on an N-run genome."""
+    genome = random_genome(600, seed=4242, name="chrMixed")
+    text = genome.text
+    genome = Sequence.from_text(genome.name, text[:300] + "N" * 12 + text[312:])
+    guides = mixed_pam_panel(genome, seed=77)
+    for budget in (SearchBudget(mismatches=2), SearchBudget(1, 1, 1)):
+        overlap = max(g.site_length for g in guides) + budget.dna_bulges - 1
+        for choice in (0, 3):
+            yield DifferentialCase(
+                genome=genome,
+                guides=guides,
+                budget=budget,
+                chunk_length=adversarial_chunk_length(overlap, len(genome), choice),
+                label=(
+                    f"mixed-pam[mm={budget.mismatches},r={budget.rna_bulges},"
+                    f"d={budget.dna_bulges},c={choice}]"
+                ),
+            )
+
+
 # -- prover-seeded counterexamples ---------------------------------------------
 
 

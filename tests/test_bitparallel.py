@@ -5,24 +5,37 @@ hits, positions, strands, mismatch counts, and canonical dedupe order,
 for every genome (including N runs and empty input), guide panel
 (lengths 12-24 nt, either PAM side), mismatch budget 0-5, and both
 strands. Hypothesis sweeps the randomized space; the directed classes
-pin each bit-plane mechanism — word-boundary shifts, prefix masks,
-thermometer-plane carries at exactly the budget — that a random sweep
-may visit only by luck.
+pin each bit-plane mechanism — word-boundary placements, prefix masks,
+thermometer-plane carries at exactly the budget, the lane gather and
+the padding bits of the last lane word — that a random sweep may visit
+only by luck.
 
 The ``slow``-marked soak at the bottom is the nightly fuzz pass:
-50 seeded ~1 Mbp genomes, kernel vs the LUT matcher (itself pinned to
-the naive oracle by this file and ``tests/differential.py`` — the
-pure-Python oracle is infeasible at Mbp scale), with the seed in every
-failure message for replay.
+50 seeded ~1 Mbp genomes plus 10 with mixed-PAM panels, kernel vs the
+LUT matcher (itself pinned to the naive oracle by this file and
+``tests/differential.py`` — the pure-Python oracle is infeasible at
+Mbp scale), with the seed in every failure message for replay.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import NaiveSearcher, ParallelSearch, SearchBudget, random_genome
+from repro import (
+    NaiveSearcher,
+    ParallelSearch,
+    SearchBudget,
+    random_genome,
+    sample_guides_from_genome,
+)
 from repro.core import bitparallel, matcher
-from repro.core.bitparallel import BitParallelPanel, _prefix_mask, _shift_down
+from repro.core.bitparallel import BitParallelPanel, _Lanes, _prefix_mask
 from repro.errors import EngineError
 from repro.genome.sequence import Sequence
 from repro.grna.guide import Guide
@@ -281,21 +294,94 @@ class TestBitboardPrimitives:
             if (int(board[w]) >> b) & 1
         }
 
-    @pytest.mark.parametrize("t", [0, 1, 7, 63, 64, 65, 127, 128, 200])
-    def test_shift_down_matches_reference(self, t):
-        bits = {0, 1, 63, 64, 70, 127, 128, 191}
-        board = self._board_from_bits(bits)
-        shifted = _shift_down(board, t)
-        assert self._bits_of(shifted) == {b - t for b in bits if b >= t}
-
     @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 192])
     def test_prefix_mask_sets_exactly_count_bits(self, count):
         mask = _prefix_mask(3, count)
         assert self._bits_of(mask) == set(range(count))
 
-    def test_shift_down_zero_is_identity_object(self):
-        board = self._board_from_bits({5, 64})
-        assert _shift_down(board, 0) is board
+
+# -- lanes: the PAM-first filter and the gather --------------------------------
+
+
+class TestLanes:
+    def test_gather_reads_each_lane_at_its_start_plus_offset(self):
+        # For offset u and mask m, bit i of the lane board is set iff
+        # codes[starts[i] + u] satisfies m; a read past the block end
+        # satisfies nothing, not even a pattern N.
+        rng = np.random.default_rng(5)
+        codes = rng.integers(0, 5, size=200).astype(np.uint8)
+        starts = np.sort(rng.choice(200, size=90, replace=False)).astype(np.int64)
+        lanes = _Lanes(codes, starts)
+        masks = np.arange(1, 32, dtype=np.uint8)
+        for offset in (0, 1, 7, 30, 63, 64, 150, 199, 200, 230):
+            boards = lanes.boards(lanes.gather(offset), masks)
+            assert boards.shape == (masks.size, 2)
+            for mask, board in zip(masks.tolist(), boards):
+                want = {
+                    i
+                    for i, start in enumerate(starts.tolist())
+                    if start + offset < codes.size
+                    and (mask >> int(codes[start + offset])) & 1
+                }
+                assert bitparallel._board_starts(board).tolist() == sorted(want), (
+                    offset,
+                    mask,
+                )
+
+    @pytest.mark.parametrize("count", [63, 64, 65])
+    def test_padding_lanes_never_report(self, count):
+        # A run of count + 1 Gs right after a 21-base lead gives exactly
+        # `count` NGG lanes on the + strand (and none on the -, with no
+        # C in the genome). A budget as long as the protospacer accepts
+        # every lane, so a padding bit in the last lane word would
+        # surface as an extra hit.
+        guide = Guide("g", "GAGTCCGAGCAGAAGAAGAA")
+        genome = Sequence.from_text("chrLanes", "A" * 21 + "G" * (count + 1) + "A" * 30)
+        budget = SearchBudget(mismatches=20)
+        hits = bitparallel.find_hits(genome, [guide], budget)
+        assert [hit.start for hit in hits] == list(range(count))
+        assert hits == oracle(genome, [guide], budget)
+        assert bitparallel.count_report_rows(genome, [guide], budget) == count
+
+    @pytest.mark.parametrize("count", [63, 64, 65])
+    def test_padding_lanes_never_report_bulged(self, count):
+        # With one bulge each way the GG may sit one base either side,
+        # so a run of `count` Gs gives `count` lanes.
+        guide = Guide("g", "GAGTCCGAGCAGAAGAAGAA")
+        genome = Sequence.from_text("chrLanes", "A" * 21 + "G" * count + "A" * 30)
+        budget = SearchBudget(mismatches=20, rna_bulges=1, dna_bulges=1)
+        (group, _) = bitparallel._lane_groups(
+            [bitparallel._compile_strand(guide, strand) for strand in "+-"]
+        )
+        assert bitparallel._bulged_lanes(genome.codes, group, budget)[0].count == count
+        assert bitparallel.find_hits(genome, [guide], budget) == matcher.find_hits(
+            genome, [guide], budget
+        )
+        assert bitparallel.count_report_rows(
+            genome, [guide], budget
+        ) == matcher.count_report_rows(genome, [guide], budget)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            SearchBudget(mismatches=2),
+            SearchBudget(mismatches=1, rna_bulges=1, dna_bulges=1),
+        ],
+        ids=["mm2", "bulged"],
+    )
+    def test_hits_decode_from_codes_not_text(self, budget, monkeypatch):
+        # find_hits cuts each site out of the codes; decoding the whole
+        # block to text would cost more than the scan of a sparse panel.
+        genome = random_genome(3000, seed=21, name="chrCodes")
+        guides = list(sample_guides_from_genome(genome, 3, seed=4))
+        want = oracle(genome, guides, budget)
+        assert want
+
+        def no_text(self):
+            raise AssertionError("find_hits decoded the whole block")
+
+        monkeypatch.setattr(Sequence, "text", property(no_text))
+        assert bitparallel.find_hits(genome, guides, budget) == want
 
 
 # -- API contract --------------------------------------------------------------
@@ -327,6 +413,37 @@ class TestKernelApi:
             assert panel.find_hits(block) == matcher.find_hits(
                 block, list(library), budget
             )
+
+    def test_first_scan_imports_no_module(self):
+        # A pool forks fresh workers for every search, each scanning
+        # only a few shards, so a module the kernel imports on first use
+        # (numpy.unique pulls in numpy.ma) is paid again on every search.
+        probe = textwrap.dedent(
+            """
+            import sys
+            from repro import SearchBudget, random_genome, sample_guides_from_genome
+            from repro.core.bitparallel import BitParallelPanel
+
+            genome = random_genome(5000, seed=3, name="chrProbe")
+            guides = sample_guides_from_genome(genome, 3, seed=4)
+            for budget in (SearchBudget(mismatches=2), SearchBudget(1, 1, 1)):
+                panel = BitParallelPanel(guides, budget)
+                before = set(sys.modules)
+                panel.find_hits(genome)
+                panel.count_report_rows(genome)
+                print(sorted(set(sys.modules) - before))
+            """
+        )
+        src = str(Path(bitparallel.__file__).resolve().parents[2])
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["[]", "[]"]
 
     def test_count_report_rows_matches_matcher(self, small_genome, library):
         budget = SearchBudget(mismatches=2)
@@ -367,8 +484,6 @@ class TestSoak:
 
     @pytest.mark.parametrize("seed", range(50))
     def test_seeded_mbp_sweep(self, seed):
-        from repro import sample_guides_from_genome
-
         genome = random_genome(
             self.GENOME_LENGTH, seed=seed, name=f"chrSoak{seed}"
         )
@@ -383,4 +498,41 @@ class TestSoak:
         assert got == want, (
             f"soak seed {seed}: ordered hit lists diverge under {budget} "
             f"(replay: test_seeded_mbp_sweep[{seed}])"
+        )
+
+
+@pytest.mark.slow
+class TestSoakMixedPam:
+    """10-seed mixed-PAM sweep on ~1 Mbp genomes, kernel vs the matcher.
+
+    Every panel mixes an NGG, an NRG and a 5'-PAM TTTV guide, so three
+    PAM layouts — six lane groups — share each block, where the seeds
+    of :class:`TestSoak` run NGG panels only. Budgets follow
+    :meth:`TestSoak.budget_for_seed`, so seeds 50 and 55 run bulged.
+    """
+
+    PAMS = ("NGG", "NRG", "TTTV")
+
+    @pytest.mark.parametrize("seed", range(50, 60))
+    def test_seeded_mixed_pam_sweep(self, seed):
+        genome = random_genome(
+            TestSoak.GENOME_LENGTH, seed=seed, name=f"chrMixed{seed}"
+        )
+        guides = [
+            guide
+            for index, pam in enumerate(self.PAMS)
+            for guide in sample_guides_from_genome(
+                genome, 1, pam=pam, seed=seed + 1000 + index, name_prefix=pam.lower()
+            )
+        ]
+        budget = TestSoak.budget_for_seed(seed)
+        got = bitparallel.find_hits(genome, guides, budget)
+        want = matcher.find_hits(genome, guides, budget)
+        assert hit_multiset(got) == hit_multiset(want), (
+            f"mixed-PAM soak seed {seed}: span multisets diverge under {budget} "
+            f"(replay: test_seeded_mixed_pam_sweep[{seed}])"
+        )
+        assert got == want, (
+            f"mixed-PAM soak seed {seed}: ordered hit lists diverge under {budget} "
+            f"(replay: test_seeded_mixed_pam_sweep[{seed}])"
         )

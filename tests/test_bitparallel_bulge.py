@@ -24,8 +24,8 @@ from repro.core.bitparallel import (
     _band_transfer,
     _bulge_layout,
     _bulged_accept_boards,
-    _BlockPlanes,
     _compile_strand,
+    _lane_groups,
 )
 from repro.genome.sequence import Sequence
 from repro.grna.guide import Guide
@@ -289,21 +289,21 @@ class TestBandPrimitives:
         proto = guide.protospacer
         site = proto[:9] + proto[10:] + "AGG"
         genome = Sequence.from_text("chrTight", site)
-        planes = _BlockPlanes(genome.codes)
-        pattern = _compile_strand(guide, "+")
+        (group,) = _lane_groups([_compile_strand(guide, "+")])
         budget = SearchBudget(mismatches=0, rna_bulges=1, dna_bulges=1)
-        boards = _bulged_accept_boards(planes, pattern, _bulge_layout(pattern), budget)
+        lanes, (boards,) = _bulged_accept_boards(genome.codes, group, budget)
         deltas = {d - r for (_, r, d) in boards}
         assert deltas == {-1}
         for board in boards.values():
-            assert bitparallel._board_starts(board).tolist() == [0]
+            assert lanes.starts[bitparallel._board_starts(board)].tolist() == [0]
 
     def test_accept_boards_empty_genome_shorter_than_shortest_site(self):
         guide = Guide("g", "GAGTCCGAGCAGAAGAAGAA")
-        pattern = _compile_strand(guide, "+")
+        (group,) = _lane_groups([_compile_strand(guide, "+")])
         budget = SearchBudget(mismatches=0, rna_bulges=1, dna_bulges=1)
-        planes = _BlockPlanes(Sequence.from_text("chrTiny", "ACGT").codes)
-        assert _bulged_accept_boards(planes, pattern, _bulge_layout(pattern), budget) == {}
+        codes = Sequence.from_text("chrTiny", "ACGT").codes
+        _, (boards,) = _bulged_accept_boards(codes, group, budget)
+        assert boards == {}
 
 
 # -- bulged budgets run the panel natively: API regressions --------------------
@@ -320,12 +320,17 @@ class TestNoFallback:
         hits = BitParallelPanel(library, self.BUDGET).find_hits(tiny_genome)
         assert hits == matcher.find_hits(tiny_genome, list(library), self.BUDGET)
 
-    def test_mismatch_only_blocks_not_counted_bulged(self, tiny_genome, library):
-        # A mismatch-only panel compiles no diagonal-band layouts, so its
-        # blocks run the thermometer scan, never the banded engine.
+    def test_mismatch_only_blocks_not_counted_bulged(
+        self, tiny_genome, library, monkeypatch
+    ):
+        # A mismatch-only panel's blocks run the thermometer scan, never
+        # the banded engine.
+        def banded(*args, **kwargs):
+            raise AssertionError("a mismatch-only block ran the banded engine")
+
+        monkeypatch.setattr(bitparallel, "_bulged_reach", banded)
         budget = SearchBudget(mismatches=2)
         panel = BitParallelPanel(library, budget)
-        assert panel._layouts == ()
         assert panel.find_hits(tiny_genome) == matcher.find_hits(
             tiny_genome, list(library), budget
         )

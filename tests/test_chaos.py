@@ -57,7 +57,7 @@ from repro.service.chaos import (
     DEGRADE_ACTIONS,
     SERVER_ACTIONS,
 )
-from repro.service.server import MAX_LINE_BYTES
+from repro.service.server import MAX_LINE_BYTES, guide_to_wire
 
 from differential import DifferentialCase, assert_engines_agree
 from test_service_socket import (
@@ -249,6 +249,32 @@ class TestScriptedFaults:
             assert result.hits == oracle
             assert server.execution_counts() == {f"lost-{action}": 1}
             assert errors_of(check_server(server)) == []
+        finally:
+            server.stop()
+
+    def test_replay_is_byte_identical_on_the_wire(self, genome, guides, budget):
+        # The record keeps a response as compact JSON text; a replay
+        # decodes it, and encodes to the first answer's wire bytes.
+        server = make_server(genome)
+        line = json.dumps(
+            {
+                "op": "query",
+                "id": "wire-1",
+                "guides": [guide_to_wire(guide) for guide in guides],
+                "budget": {
+                    "mismatches": budget.mismatches,
+                    "rna_bulges": budget.rna_bulges,
+                    "dna_bulges": budget.dna_bulges,
+                },
+            }
+        ).encode("ascii")
+        try:
+            first = server._respond(line)
+            replay = server._respond(line)
+            assert first["ok"] and first["num_hits"] > 0
+            assert json.dumps(replay) == json.dumps(first)
+            assert server.completed_response("wire-1") == replay
+            assert server.execution_counts() == {"wire-1": 1}
         finally:
             server.stop()
 
@@ -581,8 +607,8 @@ class TestCheckServerRules:
     def test_svc005_record_over_capacity(self, genome):
         server = make_server(genome, idempotency_capacity=1)
         try:
-            server._completed["a"] = {"id": "a"}  # sabotage: bypass the LRU
-            server._completed["b"] = {"id": "b"}
+            server._completed["a"] = '{"id":"a"}'  # sabotage: bypass the LRU
+            server._completed["b"] = '{"id":"b"}'
             report = check_server(server)
             assert "SVC005" in {d.rule for d in errors_of(report)}
         finally:
@@ -591,7 +617,7 @@ class TestCheckServerRules:
     def test_svc005_mismatched_recorded_response(self, genome):
         server = make_server(genome)
         try:
-            server._completed["a"] = {"id": "b", "ok": True}
+            server._completed["a"] = '{"id":"b","ok":true}'
             report = check_server(server)
             assert "SVC005" in {d.rule for d in errors_of(report)}
         finally:

@@ -27,6 +27,7 @@ from differential import (
     case_from_seed,
     differential_grid,
     duplicate_keys,
+    mixed_pam_cases,
     next_prime_above,
     oracle_hits,
     planted_bulge_cases,
@@ -41,6 +42,9 @@ BULGED_GRID_IDS = [case.label for case in BULGED_GRID_CASES]
 
 PLANTED_CASES = list(planted_bulge_cases())
 PLANTED_IDS = [case.label for case in PLANTED_CASES]
+
+MIXED_PAM_CASES = list(mixed_pam_cases())
+MIXED_PAM_IDS = [case.label for case in MIXED_PAM_CASES]
 
 
 # -- the sweep: every engine, every grid case ----------------------------------
@@ -256,3 +260,21 @@ class TestBulgedBudgetsThroughHarness:
             label="bulged,workers=2",
         )
         assert_engines_agree(sharded, engines=("parallel",))
+
+
+class TestMixedPamPanels:
+    """Panels that mix PAM layouts and lengths, so every kind of lane
+    group the kernel forms — 3' and 5' PAMs, an all-``N`` PAM that
+    keeps every start, a 30-nt protospacer — runs through every engine
+    next to the others, on a genome with an N run."""
+
+    @pytest.mark.parametrize("case", MIXED_PAM_CASES, ids=MIXED_PAM_IDS)
+    def test_mixed_pam_agreement(self, case):
+        assert_engines_agree(case)
+
+    def test_every_guide_is_found(self):
+        # Each guide is cut from the genome, so each must report at
+        # least its own site under both budgets.
+        for case in MIXED_PAM_CASES:
+            found = {hit.guide_name for hit in oracle_hits(case)}
+            assert found == {guide.name for guide in case.guides}, case.label
