@@ -29,11 +29,10 @@ from repro.service import OffTargetServer, RetryPolicy, ServiceClient
 from _harness import save_experiment
 
 REQUESTS = 24  # sequential socket round-trips per configuration
-BATCH_WINDOW = 0.002
 
 
 def _serve(genome):
-    service = OffTargetService(background=True, batch_window_seconds=BATCH_WINDOW)
+    service = OffTargetService(background=True)
     service.add_genome("default", genome)
     server = OffTargetServer(service)
     host, port = server.start()

@@ -51,7 +51,7 @@ def _start_backends(genome, count):
     backends = {}
     specs = []
     for index in range(count):
-        service = OffTargetService(background=True, batch_window_seconds=0.01)
+        service = OffTargetService(background=True)
         for session in range(SESSIONS):
             service.add_genome(f"s{session}", genome)
         server = OffTargetServer(service)

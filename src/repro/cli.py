@@ -190,13 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (0 = pick a free port; the chosen one is announced)",
     )
     serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="coalescing window: requests arriving within it share one search",
-    )
-    serve.add_argument(
         "--max-queue",
         type=_positive_int,
         default=128,
@@ -216,12 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--chunk-length", type=_positive_int, default=1 << 20, help="genome chunk size"
-    )
-    serve.add_argument(
-        "--max-guides-per-pass",
-        type=_positive_int,
-        default=None,
-        help="split coalesced batches above this many distinct guides into passes",
     )
     serve.add_argument(
         "--platform",
@@ -676,12 +663,10 @@ def _command_serve(args: argparse.Namespace) -> int:
         capacity_spec = FpgaSpec()
     service = OffTargetService(
         cache_capacity=args.cache_capacity,
-        batch_window_seconds=args.batch_window,
         max_queue_depth=args.max_queue,
         workers=args.workers,
         chunk_length=args.chunk_length,
         capacity_spec=capacity_spec,
-        max_guides_per_pass=args.max_guides_per_pass,
     )
     session = service.add_genome(args.session, args.reference)
     server = OffTargetServer(

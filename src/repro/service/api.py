@@ -47,7 +47,8 @@ class OffTargetService:
     Parameters mirror the scheduler's knobs; see
     :class:`~repro.service.scheduler.RequestScheduler`. With
     ``background=True`` (the default) a daemon thread drains the queue
-    after each ``batch_window_seconds`` coalescing window; with
+    whenever it is idle and a request is pending, so requests admitted
+    while a batch runs coalesce into the next one; with
     ``background=False`` the caller drives batching via :meth:`flush`.
     """
 
@@ -55,12 +56,10 @@ class OffTargetService:
         self,
         *,
         cache_capacity: int = 256,
-        batch_window_seconds: float = 0.005,
         max_queue_depth: int = 128,
         workers: int = 1,
         chunk_length: int = 1 << 20,
         capacity_spec: Union[ApSpec, FpgaSpec, None] = None,
-        max_guides_per_pass: int | None = None,
         background: bool = True,
     ) -> None:
         self._metrics = Metrics()
@@ -69,12 +68,10 @@ class OffTargetService:
         self._scheduler = RequestScheduler(
             self._sessions,
             self._cache,
-            batch_window_seconds=batch_window_seconds,
             max_queue_depth=max_queue_depth,
             workers=workers,
             chunk_length=chunk_length,
             capacity_spec=capacity_spec,
-            max_guides_per_pass=max_guides_per_pass,
             metrics=self._metrics,
         )
         self._background = background
@@ -91,14 +88,11 @@ class OffTargetService:
         self.close()
 
     def close(self) -> None:
-        """Stop the batcher and drain every admitted request."""
+        """Refuse new queries and drain every admitted request."""
         if self._closed:
             return
         self._closed = True
-        if self._background:
-            self._scheduler.stop()
-        else:
-            self._scheduler.flush()
+        self._scheduler.stop()
 
     # -- component access ---------------------------------------------------
 
@@ -235,7 +229,6 @@ class OffTargetService:
         return {
             "queue_depth": self._scheduler.queue_depth,
             "max_queue_depth": self._scheduler.max_queue_depth,
-            "batch_window_seconds": self._scheduler.batch_window_seconds,
             "batches": int(metrics.counter("service.batches")),
             "coalesced_batches": int(metrics.counter("service.coalesced_batches")),
             "batch_requests": int(metrics.counter("service.batch_requests")),

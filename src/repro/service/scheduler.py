@@ -2,13 +2,17 @@
 
 The paper's core economic property is that **one** streaming pass of
 the genome serves *all* loaded guide automata simultaneously. This
-scheduler is the software analogue for a serving workload: queries
-that arrive within a batching window — each carrying its own guides —
-are coalesced into one multi-guide search whose single set of genome
-passes answers all of them, and the merged hit list is demultiplexed
-back into per-request results that are **bit-identical** to running
-each request alone (the differential guarantee pinned by
-``tests/test_service.py``).
+scheduler is the software analogue for a serving workload: concurrent
+queries — each carrying its own guides — are coalesced into one
+multi-guide search whose single set of genome passes answers all of
+them, and the merged hit list is demultiplexed back into per-request
+results that are **bit-identical** to running each request alone (the
+differential guarantee pinned by ``tests/test_service.py``).
+
+Batching is continuous: an idle batch thread dispatches the first
+admitted request at once, and everything admitted while that batch
+runs forms the next one, so a batch's size follows the load with no
+timer to tune.
 
 Why demultiplexing is exact
 ---------------------------
@@ -119,8 +123,6 @@ class _Pending:
 def split_into_passes(
     compiled: SequenceType[CompiledGuide],
     spec: Union[ApSpec, FpgaSpec, None],
-    *,
-    max_guides_per_pass: int | None = None,
 ) -> tuple[list[list[CompiledGuide]], list[CompiledGuide]]:
     """Greedily pack *compiled* into capacity-respecting passes.
 
@@ -133,9 +135,8 @@ def split_into_passes(
     builds its homogeneous automaton, which only capacity packing needs.
     """
     if spec is None:
-        capacity = None
-        cost_of = lambda guide: 0  # noqa: E731 - nothing to price
-    elif isinstance(spec, ApSpec):
+        return ([list(compiled)] if compiled else []), []
+    if isinstance(spec, ApSpec):
         capacity = spec.capacity_stes
         cost_of = lambda guide: guide.num_stes  # noqa: E731
     else:
@@ -144,22 +145,17 @@ def split_into_passes(
     passes: list[list[CompiledGuide]] = []
     unplaceable: list[CompiledGuide] = []
     current: list[CompiledGuide] = []
-    remaining = capacity if capacity is not None else 0
+    remaining = capacity
     for compiled_guide in compiled:
         needed = cost_of(compiled_guide)
-        if capacity is not None and needed > capacity:
+        if needed > capacity:
             unplaceable.append(compiled_guide)
             continue
-        over_capacity = capacity is not None and needed > remaining and current
-        over_count = (
-            max_guides_per_pass is not None and len(current) >= max_guides_per_pass
-        )
-        if over_capacity or over_count:
+        if needed > remaining and current:
             passes.append(current)
             current = []
-            remaining = capacity if capacity is not None else 0
-        if capacity is not None:
-            remaining -= needed
+            remaining = capacity
+        remaining -= needed
         current.append(compiled_guide)
     if current:
         passes.append(current)
@@ -172,7 +168,7 @@ class RequestScheduler:
     Deterministic by construction: :meth:`flush` drains and executes
     the current queue synchronously (what the differential tests
     drive); :meth:`start` merely runs the same flush from a background
-    thread after a ``batch_window_seconds`` coalescing pause, so timing
+    thread whenever it is idle and a request is pending, so timing
     affects *which* requests share a batch, never what any request
     returns.
     """
@@ -182,18 +178,12 @@ class RequestScheduler:
         sessions: SessionRegistry,
         cache: CompiledGuideCache,
         *,
-        batch_window_seconds: float = 0.005,
         max_queue_depth: int = 128,
         workers: int = 1,
         chunk_length: int = 1 << 20,
         capacity_spec: Union[ApSpec, FpgaSpec, None] = None,
-        max_guides_per_pass: int | None = None,
         metrics: Metrics | None = None,
     ) -> None:
-        if batch_window_seconds < 0:
-            raise ServiceError(
-                f"batch_window_seconds must be >= 0, got {batch_window_seconds!r}"
-            )
         if not isinstance(max_queue_depth, int) or max_queue_depth < 1:
             raise ServiceError(
                 f"max_queue_depth must be a positive integer, got {max_queue_depth!r}"
@@ -202,18 +192,12 @@ class RequestScheduler:
             raise ServiceError(
                 f"workers must be a positive integer, got {workers!r}"
             )
-        if max_guides_per_pass is not None and max_guides_per_pass < 1:
-            raise ServiceError(
-                f"max_guides_per_pass must be positive or None, got {max_guides_per_pass!r}"
-            )
         self._sessions = sessions
         self._cache = cache
-        self._batch_window = batch_window_seconds
         self._max_queue_depth = max_queue_depth
         self._workers = workers
         self._chunk_length = chunk_length
         self._capacity_spec = capacity_spec
-        self._max_guides_per_pass = max_guides_per_pass
         self._metrics = metrics if metrics is not None else Metrics()
         self._cond = threading.Condition()
         self._pending: list[_Pending] = []
@@ -237,10 +221,6 @@ class RequestScheduler:
         return self._max_queue_depth
 
     @property
-    def batch_window_seconds(self) -> float:
-        return self._batch_window
-
-    @property
     def stopped(self) -> bool:
         """True once :meth:`stop` has shut the background batcher down."""
         return self._stop.is_set() and self._thread is None
@@ -252,17 +232,20 @@ class RequestScheduler:
 
         Raises :class:`ServiceOverloadedError` when the queue is at
         capacity (the request is shed, not enqueued) and
-        :class:`ServiceError` for malformed requests — both *before*
-        admission, so an admitted request always resolves.
+        :class:`ServiceError` for malformed requests or once :meth:`stop`
+        has begun — all *before* admission, so an admitted request
+        always resolves.
         """
-        if self._stop.is_set() and self._thread is not None:
-            raise ServiceError("scheduler is stopped")
         if request.session_id not in self._sessions:
             raise ServiceError(
                 f"unknown session {request.session_id!r}; "
                 f"registered: {self._sessions.ids()}"
             )
         with self._cond:
+            # Read under the lock stop() sets it under: a request is
+            # either refused here or queued before stop's final flush.
+            if self._stop.is_set():
+                raise ServiceError("scheduler is stopped")
             if len(self._pending) >= self._max_queue_depth:
                 self._metrics.incr("service.requests.shed")
                 raise ServiceOverloadedError(
@@ -346,9 +329,7 @@ class RequestScheduler:
 
         # Capacity pre-flight: pack into passes, fail the unplaceable.
         passes, unplaceable = split_into_passes(
-            [compiled_by_key[key] for key in order],
-            self._capacity_spec,
-            max_guides_per_pass=self._max_guides_per_pass,
+            [compiled_by_key[key] for key in order], self._capacity_spec
         )
         failed_keys = self._fail_unplaceable(unplaceable, compiled_by_key, budget, live)
 
@@ -471,9 +452,13 @@ class RequestScheduler:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop the loop and drain what remains (nothing is dropped)."""
-        self._stop.set()
+        """Refuse new requests, stop the loop and drain what remains.
+
+        Nothing admitted is dropped: every request queued before the
+        stop resolves in the final flush.
+        """
         with self._cond:
+            self._stop.set()
             self._cond.notify_all()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
@@ -481,16 +466,15 @@ class RequestScheduler:
         self.flush()
 
     def _loop(self) -> None:
-        while not self._stop.is_set():
+        # Dispatch on idle: flush as soon as anything is pending. What
+        # is admitted while a batch runs waits in the queue and forms
+        # the next batch.
+        while True:
             with self._cond:
                 while not self._pending and not self._stop.is_set():
-                    self._cond.wait(timeout=0.1)
-            if self._stop.is_set():
-                break
-            # The coalescing window: let concurrent arrivals pile onto
-            # the batch before draining it.
-            if self._batch_window:
-                time.sleep(self._batch_window)
+                    self._cond.wait()
+                if self._stop.is_set():
+                    return
             self.flush()
 
 

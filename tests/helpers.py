@@ -1,5 +1,6 @@
 """Shared helper functions for the test suite."""
 
+import threading
 from collections import Counter
 
 
@@ -39,3 +40,32 @@ def report_spans(reports):
         start, end = label.span_at(position)
         spans.add((label.guide_name, label.strand, start, end))
     return spans
+
+
+class DispatchGate:
+    """Hold one scheduler's batches in flight until :meth:`release`.
+
+    Wraps that scheduler instance's ``_dispatch_batch``: a batch sets
+    :attr:`reached`, then waits (bounded) for the release before it
+    runs. A test that kills, drains or signals a server calls
+    :meth:`wait_reached` first, so its request is provably admitted and
+    still unanswered when the event lands.
+    """
+
+    def __init__(self, scheduler, *, hold_seconds=60.0):
+        self.reached = threading.Event()
+        self._released = threading.Event()
+        dispatch = scheduler._dispatch_batch
+
+        def held(*args):
+            self.reached.set()
+            self._released.wait(hold_seconds)
+            return dispatch(*args)
+
+        scheduler._dispatch_batch = held
+
+    def wait_reached(self, timeout=10.0):
+        assert self.reached.wait(timeout), "no batch reached the dispatch gate"
+
+    def release(self):
+        self._released.set()

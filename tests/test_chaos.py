@@ -60,6 +60,7 @@ from repro.service.chaos import (
 from repro.service.server import MAX_LINE_BYTES, guide_to_wire
 
 from differential import DifferentialCase, assert_engines_agree
+from helpers import DispatchGate
 from test_service_socket import (
     REPO,
     SRC,
@@ -68,6 +69,35 @@ from test_service_socket import (
 )
 
 CLIENT_TIMEOUT = 20  # every socket op in this file is bounded
+
+# Run by ``python -c`` after a ``HELD = <marker path>`` line: ``serve``
+# whose batches touch the marker, then wait for the drain to begin
+# (bounded) before they run, so a signal provably lands mid-query.
+HELD_SERVE = """
+import sys, threading
+from pathlib import Path
+from repro.cli import main
+from repro.service.scheduler import RequestScheduler
+from repro.service.server import OffTargetServer
+
+draining = threading.Event()
+dispatch = RequestScheduler._dispatch_batch
+request_drain = OffTargetServer.request_drain
+
+def held_dispatch(self, *args):
+    Path(HELD).touch()
+    if draining.wait(60):
+        print("# batch released by the drain", file=sys.stderr, flush=True)
+    return dispatch(self, *args)
+
+def drain_and_release(self):
+    draining.set()
+    request_drain(self)
+
+RequestScheduler._dispatch_batch = held_dispatch
+OffTargetServer.request_drain = drain_and_release
+sys.exit(main(sys.argv[1:]))
+"""
 
 # The workload every chaotic request replays, as a differential case so
 # the harness can pin the solo-search reference to the naive oracle.
@@ -107,9 +137,7 @@ def oracle():
 
 
 def make_server(genome, *, chaos=None, **kwargs):
-    service = OffTargetService(
-        background=True, batch_window_seconds=0.002, chunk_length=1 << 12
-    )
+    service = OffTargetService(background=True, chunk_length=1 << 12)
     service.add_genome("default", genome)
     server = OffTargetServer(service, chaos=chaos, **kwargs)
     server.start()
@@ -652,10 +680,9 @@ class TestGracefulDrain:
     def test_drain_answers_inflight_then_stops(self, genome, guides, budget, oracle):
         # A query admitted before the drain began must be answered in
         # full; the drain then closes the listener and joins handlers.
-        service = OffTargetService(
-            background=True, batch_window_seconds=0.25, chunk_length=1 << 12
-        )
+        service = OffTargetService(background=True, chunk_length=1 << 12)
         service.add_genome("default", genome)
+        gate = DispatchGate(service.scheduler)
         server = OffTargetServer(service)
         host, port = server.start()
         results = []
@@ -666,12 +693,10 @@ class TestGracefulDrain:
 
         worker = threading.Thread(target=slow_query)
         worker.start()
-        deadline = time.monotonic() + 10  # wait until the query is admitted
-        while time.monotonic() < deadline and not service.metrics.counter(
-            "service.server.executions"
-        ):
-            time.sleep(0.005)
+        gate.wait_reached()  # the query's batch is held mid-dispatch
         server.request_drain()
+        assert not results, "answered before the drain began"
+        gate.release()
         worker.join(timeout=CLIENT_TIMEOUT)
         assert not worker.is_alive()
         assert results and results[0].hits == oracle
@@ -700,10 +725,9 @@ class TestGracefulDrain:
         # Satellite 2 regression: stop() must join in-flight handlers
         # before closing the service, so a straggling request is
         # answered (or typed), never abandoned mid-execution.
-        service = OffTargetService(
-            background=True, batch_window_seconds=0.2, chunk_length=1 << 12
-        )
+        service = OffTargetService(background=True, chunk_length=1 << 12)
         service.add_genome("default", genome)
+        gate = DispatchGate(service.scheduler)
         server = OffTargetServer(service)
         host, port = server.start()
         outcome = []
@@ -717,12 +741,18 @@ class TestGracefulDrain:
 
         worker = threading.Thread(target=straggler)
         worker.start()
+        gate.wait_reached()  # the straggler's batch is held mid-dispatch
+        # stop() is synchronous (it returns only when drained), so it
+        # runs on its own thread while the held batch is released.
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
         deadline = time.monotonic() + 10
-        while time.monotonic() < deadline and not service.metrics.counter(
-            "service.server.executions"
-        ):
-            time.sleep(0.005)
-        server.stop()  # synchronous: returns only when drained
+        while time.monotonic() < deadline and not server.draining:
+            time.sleep(0.001)
+        assert server.draining and not outcome, "answered before stop() began"
+        gate.release()
+        stopper.join(timeout=CLIENT_TIMEOUT)
+        assert not stopper.is_alive()
         worker.join(timeout=CLIENT_TIMEOUT)
         assert not worker.is_alive()
         assert outcome, "in-flight request was abandoned without an answer"
@@ -750,8 +780,9 @@ class TestGracefulDrain:
         # Acceptance: SIGTERM arriving mid-query completes that query
         # before the serve subprocess exits 0.
         oracle = OffTargetSearch(guides, budget).run(genome).hits
+        held = tmp_path / "batch-held"
         process, port = start_serve_subprocess(
-            tmp_path, genome, "--batch-window", "0.5"
+            tmp_path, genome, bootstrap=f"HELD = {str(held)!r}\n" + HELD_SERVE
         )
         results = []
         try:
@@ -764,13 +795,18 @@ class TestGracefulDrain:
 
                 worker = threading.Thread(target=inflight)
                 worker.start()
-                time.sleep(0.15)  # inside the 0.5 s batch window
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline and not held.exists():
+                    time.sleep(0.005)
+                assert held.exists(), "the query's batch never reached dispatch"
                 process.send_signal(signal.SIGTERM)
                 worker.join(timeout=60)
                 assert not worker.is_alive()
             assert process.wait(timeout=60) == 0
             assert results and results[0].hits == oracle
-            assert "draining" in process.stderr.read()
+            stderr = process.stderr.read()
+            assert "draining" in stderr
+            assert "# batch released by the drain" in stderr
         finally:
             if process.poll() is None:
                 process.kill()

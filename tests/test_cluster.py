@@ -74,6 +74,7 @@ from repro.service import (
 )
 
 from differential import DifferentialCase, assert_engines_agree
+from helpers import DispatchGate
 from test_service_socket import (
     REPO,
     SRC,
@@ -125,10 +126,8 @@ def genome2():
     return _GENOME2
 
 
-def make_backend(genome, *, port=0, batch_window=0.002, chaos=None, **kwargs):
-    service = OffTargetService(
-        background=True, batch_window_seconds=batch_window, chunk_length=1 << 12
-    )
+def make_backend(genome, *, port=0, chaos=None, **kwargs):
+    service = OffTargetService(background=True, chunk_length=1 << 12)
     service.add_genome("default", genome)
     server = OffTargetServer(service, port=port, chaos=chaos, **kwargs)
     if port:
@@ -150,9 +149,7 @@ def make_backend(genome, *, port=0, batch_window=0.002, chaos=None, **kwargs):
     return server
 
 
-def make_cluster(
-    genome, count=3, *, replicas=2, chaos=None, batch_window=0.002, **config_kwargs
-):
+def make_cluster(genome, count=3, *, replicas=2, chaos=None, **config_kwargs):
     """N in-process backends behind a router with isolated metrics.
 
     The router starts with ``probe=False``: liveness changes happen
@@ -162,7 +159,7 @@ def make_cluster(
     backends = {}
     specs = []
     for index in range(count):
-        server = make_backend(genome, batch_window=batch_window)
+        server = make_backend(genome)
         host, port = server.address
         name = f"b{index}"
         backends[name] = server
@@ -309,9 +306,7 @@ class TestMembership:
             server.stop()
 
     def test_not_ready_backend_counts_as_probe_failure(self, genome):
-        service = OffTargetService(
-            background=True, batch_window_seconds=0.002, chunk_length=1 << 12
-        )
+        service = OffTargetService(background=True, chunk_length=1 << 12)
         service.add_genome("default", genome)
         server = OffTargetServer(service)
         host, port = server.start()
@@ -701,14 +696,13 @@ class TestFailover:
         self, genome, guides, budget, oracle
     ):
         # The deterministic heart of the tentpole: the primary dies
-        # while the query sits in its batch window; the router must
-        # re-issue the identical payload — same request id — to the
-        # next candidate, and the client sees one oracle answer.
-        router, backends = make_cluster(
-            genome, 3, batch_window=0.05, failure_threshold=1
-        )
+        # while its batch holds the query; the router must re-issue
+        # the identical payload — same request id — to the next
+        # candidate, and the client sees one oracle answer.
+        router, backends = make_cluster(genome, 3, failure_threshold=1)
         key = route_key("default", guides, budget)
         primary = primary_of(router, key)
+        gate = DispatchGate(backends[primary].service.scheduler)
         outcome = {}
 
         def issue():
@@ -720,7 +714,8 @@ class TestFailover:
         try:
             worker = threading.Thread(target=issue)
             worker.start()
-            time.sleep(0.02)  # inside the primary's 50 ms batch window
+            gate.wait_reached()  # admitted by the primary, not answered
+            assert not outcome, "the primary answered before it died"
             backends[primary].die()
             worker.join(timeout=CLIENT_TIMEOUT)
             assert not worker.is_alive(), "failover hung"
@@ -728,8 +723,8 @@ class TestFailover:
             assert router.metrics.counter("route.failovers") >= 1
             assert router.metrics.counter("route.reissues") >= 1
             # Per backend, the id executed at most once — the dead
-            # primary may legitimately have executed before dying; no
-            # surviving node may have executed twice.
+            # primary admitted it before dying; no surviving node may
+            # have executed twice.
             survivors_serving = 0
             for name, server in backends.items():
                 counts = server.execution_counts()
@@ -744,6 +739,7 @@ class TestFailover:
             # The traffic failure fed the membership ladder directly.
             assert not router.membership.is_live(primary)
         finally:
+            gate.release()
             stop_cluster(router, backends)
 
     def test_all_candidates_dead_is_typed_overloaded(

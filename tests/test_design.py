@@ -522,9 +522,7 @@ class TestDesignPipeline:
 
 @pytest.fixture(scope="module")
 def design_server():
-    service = OffTargetService(
-        background=True, batch_window_seconds=0.002, chunk_length=1 << 12
-    )
+    service = OffTargetService(background=True, chunk_length=1 << 12)
     service.add_genome("default", GENOME)
     server = OffTargetServer(service)
     server.start()
@@ -555,9 +553,7 @@ class TestDesignService:
         # from the idempotency record without re-running the pipeline.
         from repro.check import check_server
 
-        service = OffTargetService(
-            background=True, batch_window_seconds=0.002, chunk_length=1 << 12
-        )
+        service = OffTargetService(background=True, chunk_length=1 << 12)
         service.add_genome("default", GENOME)
         server = OffTargetServer(
             service, chaos=ChaosPlan.scripted({"server.write": ["truncate_write"]})

@@ -11,6 +11,8 @@ False`` + explicit ``flush()``), so no test depends on timing.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import numpy as np
@@ -34,6 +36,8 @@ from repro.errors import (
 from repro.platforms.spec import ApSpec
 from repro.service import QueryRequest, SessionRegistry
 from repro.service.scheduler import make_requests, split_into_passes
+
+from helpers import DispatchGate
 
 CHUNK = 1 << 12  # force several chunks even on the 5 kbp test genome
 
@@ -265,6 +269,54 @@ class TestAdmissionControl:
         with pytest.raises(ServiceError):
             service.query_async((pool[0],), SearchBudget())
 
+    @pytest.mark.parametrize("background", [True, False])
+    def test_stopped_scheduler_refuses_submits(self, small_genome, pool, background):
+        # A query that passed the service's closed check just before
+        # close() reaches the scheduler after its final flush: it must
+        # be refused, not queued where nothing will ever resolve it.
+        service = make_service(background=background)
+        service.add_genome("default", small_genome)
+        service.close()
+        with pytest.raises(ServiceError, match="stopped"):
+            service.scheduler.submit(make_requests(pool[0], SearchBudget()))
+        assert service.scheduler.queue_depth == 0
+
+    def test_close_racing_submits_strands_no_request(self, small_genome, pool):
+        budget = SearchBudget(mismatches=1)
+        admitted = []
+
+        def client(index: int) -> None:
+            for _ in range(200):
+                try:
+                    future = service.query_async((pool[index],), budget)
+                    admitted.append((index, future))
+                except ServiceOverloadedError:
+                    continue
+                except ServiceError:
+                    return  # closed: refused before admission
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            service = make_service(background=True)
+            service.add_genome("default", small_genome)
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while not admitted and time.monotonic() < deadline:
+                time.sleep(0.001)
+            service.close()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        # Every admitted request resolves exactly; a stranded one times out.
+        expected = [oracle_hits((guide,), budget, small_genome) for guide in pool[:4]]
+        for index, future in admitted:
+            assert future.result(timeout=10).hits == expected[index]
+
 
 class TestCapacityPasses:
     def test_planning_without_capacity_builds_no_automaton(self, pool):
@@ -275,16 +327,6 @@ class TestCapacityPasses:
         passes, unplaceable = split_into_passes(compiled, None)
         assert passes == [compiled] and unplaceable == []
         assert not any("homogeneous" in guide.__dict__ for guide in compiled)
-
-    def test_max_guides_per_pass_splits_batches(self, small_genome, pool):
-        budget = SearchBudget(mismatches=2)
-        with make_service(max_guides_per_pass=1) as service:
-            service.add_genome("default", small_genome)
-            result = service.query(pool[:3], budget)
-            stats = service.stats()
-        assert result.stats["passes"] == 3
-        assert stats["genome_passes"] == 3
-        assert result.hits == oracle_hits(pool[:3], budget, small_genome)
 
     def _spec_fitting(self, stes: int) -> ApSpec:
         return ApSpec(
@@ -323,9 +365,7 @@ class TestCapacityPasses:
 class TestBackgroundMode:
     def test_blocking_queries_through_the_batcher(self, small_genome, pool):
         budget = SearchBudget(mismatches=2)
-        with OffTargetService(
-            background=True, batch_window_seconds=0.001, chunk_length=CHUNK
-        ) as service:
+        with make_service(background=True) as service:
             service.add_genome("default", small_genome)
             for mix in (pool[:2], pool[2:4]):
                 assert service.query(mix, budget).hits == oracle_hits(
@@ -333,15 +373,11 @@ class TestBackgroundMode:
                 )
 
     def test_concurrent_threads_all_get_exact_results(self, small_genome, pool):
-        import threading
-
         budget = SearchBudget(mismatches=2)
         mixes = [pool[:2], pool[1:4], pool[3:], (pool[0], pool[5])]
         results: dict[int, tuple] = {}
 
-        with OffTargetService(
-            background=True, batch_window_seconds=0.02, chunk_length=CHUNK
-        ) as service:
+        with make_service(background=True) as service:
             service.add_genome("default", small_genome)
 
             def worker(index: int) -> None:
@@ -359,16 +395,50 @@ class TestBackgroundMode:
             assert results[index] == oracle_hits(mix, budget, small_genome)
         assert stats["requests"]["completed"] == len(mixes)
 
+    def test_arrivals_during_a_batch_form_the_next_batch(self, small_genome, pool):
+        # Continuous batching: the idle batcher dispatches the first
+        # panel alone; the three admitted while it runs share one batch.
+        budget = SearchBudget(mismatches=2)
+        panels = [pool[:2], pool[1:4], pool[3:], (pool[0], pool[5])]
+        with make_service(background=True) as service:
+            service.add_genome("default", small_genome)
+            gate = DispatchGate(service.scheduler)
+            first = service.query_async(panels[0], budget)
+            gate.wait_reached()
+            rest = [service.query_async(panel, budget) for panel in panels[1:]]
+            gate.release()
+            results = [future.result(timeout=60) for future in (first, *rest)]
+            stats = service.stats()
+        assert stats["batches"] == 2
+        assert stats["batch_requests"] == 4
+        assert stats["coalesced_batches"] == 1
+        for panel, result in zip(panels, results):
+            assert result.hits == oracle_hits(panel, budget, small_genome)
+
     def test_stop_drains_admitted_requests(self, small_genome, pool):
         budget = SearchBudget(mismatches=2)
-        service = OffTargetService(
-            background=True, batch_window_seconds=5.0, chunk_length=CHUNK
-        )
+        service = make_service(background=True)
         service.add_genome("default", small_genome)
+        gate = DispatchGate(service.scheduler)
         future = service.query_async((pool[0],), budget)
-        service.close()  # window never elapsed; close must still resolve it
+        gate.wait_reached()
+        queued = service.query_async((pool[1],), budget)  # behind the held batch
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        deadline = time.monotonic() + 10  # until stop() refuses new work
+        while time.monotonic() < deadline and not service.scheduler._stop.is_set():
+            time.sleep(0.001)
+        assert not future.done() and not queued.done()
+        gate.release()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        # close() returned, so both resolved: the held batch, and the
+        # queued request through stop's final flush
         assert future.result(timeout=1).hits == oracle_hits(
             (pool[0],), budget, small_genome
+        )
+        assert queued.result(timeout=1).hits == oracle_hits(
+            (pool[1],), budget, small_genome
         )
 
 

@@ -63,9 +63,7 @@ def write_guides_table(path: Path, guides) -> None:
 @pytest.fixture()
 def live_server(genome):
     """An in-process server over a background-mode service."""
-    service = OffTargetService(
-        background=True, batch_window_seconds=0.002, chunk_length=1 << 12
-    )
+    service = OffTargetService(background=True, chunk_length=1 << 12)
     service.add_genome("default", genome)
     server = OffTargetServer(service)
     host, port = server.start()
@@ -147,23 +145,20 @@ class TestWireProtocol:
             assert guide_from_wire(guide_to_wire(guide)) == guide
 
 
-def start_serve_subprocess(tmp_path: Path, genome, *extra_args: str):
-    """Launch ``python -m repro serve`` and parse the announce line."""
+def start_serve_subprocess(
+    tmp_path: Path, genome, *extra_args: str, bootstrap: str | None = None
+):
+    """Launch ``python -m repro serve`` and parse the announce line.
+
+    With *bootstrap*, the process runs ``python -c BOOTSTRAP serve ...``
+    instead; the bootstrap patches what it needs, then hands
+    ``sys.argv[1:]`` to ``repro.cli.main``.
+    """
     fasta = tmp_path / "ref.fa"
     write_fasta([genome], fasta)
+    entry = ["-m", "repro"] if bootstrap is None else ["-c", bootstrap]
     process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            str(fasta),
-            "--port",
-            "0",
-            "--batch-window",
-            "0.002",
-            *extra_args,
-        ],
+        [sys.executable, *entry, "serve", str(fasta), "--port", "0", *extra_args],
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         stdout=subprocess.PIPE,
@@ -320,9 +315,7 @@ class TestReconnectAfterRestart:
         # exactly once on the new process.
         budget = SearchBudget(mismatches=2)
         expected = OffTargetSearch(guides, budget).run(genome).hits
-        service = OffTargetService(
-            background=True, batch_window_seconds=0.002, chunk_length=1 << 12
-        )
+        service = OffTargetService(background=True, chunk_length=1 << 12)
         service.add_genome("default", genome)
         server = OffTargetServer(service)
         host, port = server.start()
@@ -340,11 +333,7 @@ class TestReconnectAfterRestart:
                 server.die()
                 # The replacement has no sessions at all — restarts
                 # lose state, they don't inherit it.
-                cold = OffTargetService(
-                    background=True,
-                    batch_window_seconds=0.002,
-                    chunk_length=1 << 12,
-                )
+                cold = OffTargetService(background=True, chunk_length=1 << 12)
                 replacement = OffTargetServer(cold, port=port)
                 # The dead server's acceptor poll (<= 0.2 s) can pin
                 # the port briefly; retry the bind like a supervisor.
