@@ -205,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="process-pool workers per dispatched search",
+        help=(
+            "size of the one shard-worker pool; forked on the first pooled "
+            "search and kept until shutdown (1 searches in-process)"
+        ),
     )
     serve.add_argument(
         "--chunk-length", type=_positive_int, default=1 << 20, help="genome chunk size"

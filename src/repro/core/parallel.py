@@ -8,28 +8,37 @@ do: shard the work, fan the shards across processes, merge. With
 ``workers=1`` the same shards run in-process, one chunk after another,
 so this is also the serial chunked scanner.
 
-Work is sharded along two axes:
+Work is sharded genome first:
 
 * **genome chunks** — the overlap-correct windows of
   :func:`repro.core.streaming.iter_chunks`, so a site straddling a
   chunk boundary is still found exactly once (hits wholly inside a
   chunk's overlapped prefix were already reported by the previous
   chunk and are dropped);
-* **guide batches** — disjoint slices of the guide library, so large
-  libraries scale past the chunk count.
+* **guide batches** — disjoint slices of the guide library, cut only
+  when there are fewer chunks than workers. Every batch repeats its
+  chunk's PAM-lane work, so the panel is split just far enough to
+  give every worker a shard.
 
 A shard carries its chunk's codes as a view into the genome's code
 array, so building the shards copies nothing and pickling one to a
 worker ships only that chunk's bytes, alongside plain guide records and
-the :class:`SearchBudget` — never automaton objects. Pool workers
-compile a :class:`~repro.core.bitparallel.BitParallelPanel` per shard;
-the in-process path compiles each guide batch's panel once per run and
-scans every chunk with it. :func:`_search_shard` scans one shard on
-both paths. The parent merges shard results in shard order and
+the :class:`SearchBudget` — never automaton objects. A pool worker
+compiles each shard's :class:`~repro.core.bitparallel.BitParallelPanel`
+itself; the in-process path compiles each guide batch's panel once per
+run and scans every chunk with it. :func:`_search_shard` scans one
+shard on both paths. The parent merges shard results in shard order and
 canonically dedupes, so the final hit list is **bit-identical** to the
 whole-genome kernel regardless of worker count, chunk size, or
 scheduling order — the property the differential test suite pins
 against the :class:`~repro.core.reference.NaiveSearcher` oracle.
+
+Pooled shards run on a :class:`ShardPool`, the one owner of a
+:class:`ProcessPoolExecutor`. It forks its workers on the first pooled
+dispatch and keeps them: a caller that runs many searches (the serving
+scheduler) holds one pool for its lifetime, and a search given no pool
+makes a private one for the length of one ``search`` or
+``search_many`` call.
 
 Fault tolerance
 ---------------
@@ -44,8 +53,12 @@ small supervised scheduler rather than a bare ``pool.map``:
 * failed attempts (worker death, timeout, corrupt payload) are retried
   with **exponential backoff** up to ``max_retries`` extra attempts;
 * a worker death breaks the whole :class:`ProcessPoolExecutor`
-  (CPython semantics), so the scheduler **rebuilds the pool** and
-  requeues everything that was in flight;
+  (CPython semantics), so the scheduler **retires it, spawns fresh
+  workers** from the same :class:`ShardPool` and requeues everything
+  that was in flight;
+* an executor still running an abandoned attempt is retired when the
+  search ends, so a fault on a long-lived pool never reaches the next
+  search;
 * shards that exhaust their pooled retry budget fall back to a
   **last-resort in-process re-execution** of only those shards, with a
   fresh retry budget — the merge stays bit-identical because every
@@ -70,6 +83,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -77,8 +91,9 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -347,6 +362,58 @@ class _ShardState:
     recovery: str | None = None  # None | "retry" | "in_process"
 
 
+class ShardPool:
+    """The process pool pooled shards run on, kept across searches.
+
+    It owns the one :class:`ProcessPoolExecutor` of ``workers``
+    processes and spawns it on the first pooled dispatch, not at
+    construction. A search that finds the executor broken, or leaves
+    an abandoned attempt running on it, passes it to :meth:`retire`,
+    and the next dispatch spawns fresh workers. Searches sharing a
+    pool must not overlap (the serving scheduler runs one batch at a
+    time); the lock guards only spawn, retire and close.
+    """
+
+    def __init__(self, workers: int) -> None:
+        if not isinstance(workers, int) or workers < 1:
+            raise EngineError(f"workers must be a positive integer, got {workers!r}")
+        self._workers = workers
+        self._executor: ProcessPoolExecutor | None = None
+        self._spawns = 0
+        self._closed = False
+        self._lock = threading.Lock()
+
+    @property
+    def spawns(self) -> int:
+        """Executors spawned so far; more than one means faults recycled it."""
+        return self._spawns
+
+    def executor(self) -> ProcessPoolExecutor:
+        """The live executor, spawning one if there is none."""
+        with self._lock:
+            if self._closed:
+                raise EngineError("shard pool is closed")
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(max_workers=self._workers)
+                self._spawns += 1
+            return self._executor
+
+    def retire(self, executor: ProcessPoolExecutor) -> None:
+        """Stop handing out *executor*; never waits on a hung worker."""
+        with self._lock:
+            if self._executor is executor:
+                self._executor = None
+        executor.shutdown(wait=False, cancel_futures=True)
+
+    def close(self) -> None:
+        """Shut the live executor down and wait for its workers to exit."""
+        with self._lock:
+            self._closed = True
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
 class ParallelSearch:
     """Sharded multi-process off-target search with supervised recovery.
 
@@ -369,8 +436,11 @@ class ParallelSearch:
     chunk_length:
         Genome chunk size; must exceed the derived overlap.
     guide_batch_size:
-        Guides per batch; ``None`` splits the library into at most
-        ``workers`` equal batches.
+        Guides per batch. ``None`` (default) splits the genome first
+        and the library only as far as it takes to give every worker a
+        shard: ``min(len(guides), ceil(workers / chunks))`` batches, so
+        a sequence of at least ``workers`` chunks is scanned with the
+        whole panel in every shard.
     shard_timeout:
         Per-attempt deadline in seconds; ``None`` (default) waits
         indefinitely. An attempt past its deadline is abandoned and
@@ -386,6 +456,11 @@ class ParallelSearch:
     fault_plan:
         Deterministic fault injection for tests and drills; ``None``
         (default) injects nothing.
+    pool:
+        The :class:`ShardPool` pooled shards run on. ``None`` (default)
+        makes a private ``ShardPool(workers)`` for the length of one
+        ``search`` or ``search_many`` call; a caller that searches
+        repeatedly passes its own, so the workers are forked once.
     """
 
     def __init__(
@@ -400,6 +475,7 @@ class ParallelSearch:
         max_retries: int = 2,
         backoff_seconds: float = 0.05,
         fault_plan: FaultPlan | None = None,
+        pool: ShardPool | None = None,
     ) -> None:
         guide_list = list(guides)
         if not guide_list:
@@ -418,9 +494,7 @@ class ParallelSearch:
                 f"chunk_length {chunk_length} must exceed the overlap {self._overlap}"
             )
         self._chunk_length = chunk_length
-        if guide_batch_size is None:
-            guide_batch_size = -(-len(guide_list) // workers)  # ceil division
-        if guide_batch_size < 1:
+        if guide_batch_size is not None and guide_batch_size < 1:
             raise EngineError("guide_batch_size must be positive")
         self._guide_batch_size = guide_batch_size
         if shard_timeout is not None and not shard_timeout > 0:
@@ -439,6 +513,9 @@ class ParallelSearch:
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             raise EngineError(f"fault_plan must be a FaultPlan, got {fault_plan!r}")
         self._fault_plan = fault_plan
+        if pool is not None and not isinstance(pool, ShardPool):
+            raise EngineError(f"pool must be a ShardPool, got {pool!r}")
+        self._pool = pool
 
     # -- introspection -----------------------------------------------------
 
@@ -462,24 +539,26 @@ class ParallelSearch:
     def max_retries(self) -> int:
         return self._max_retries
 
-    @property
-    def guide_batches(self) -> list[tuple[Guide, ...]]:
-        """The disjoint guide batches, in library order."""
-        size = self._guide_batch_size
-        return [
-            tuple(self._guides[index : index + size])
-            for index in range(0, len(self._guides), size)
-        ]
+    def guide_batches(self, num_chunks: int) -> list[tuple[Guide, ...]]:
+        """The disjoint guide batches of a run over *num_chunks* chunks."""
+        guides = self._guides
+        if self._guide_batch_size is None:
+            count = min(len(guides), -(-self._workers // max(1, num_chunks)))
+            bounds = [len(guides) * index // count for index in range(count + 1)]
+        else:
+            bounds = [*range(0, len(guides), self._guide_batch_size), len(guides)]
+        return [tuple(guides[low:high]) for low, high in zip(bounds, bounds[1:])]
 
     # -- sharding ----------------------------------------------------------
 
     def shard_tasks(self, genome: Sequence) -> list[ShardTask]:
         """All (chunk × guide-batch) shards for *genome*, in canonical order."""
-        batches = self.guide_batches
+        chunks = list(
+            iter_chunks(genome, chunk_length=self._chunk_length, overlap=self._overlap)
+        )
+        batches = self.guide_batches(len(chunks))
         tasks: list[ShardTask] = []
-        for chunk in iter_chunks(
-            genome, chunk_length=self._chunk_length, overlap=self._overlap
-        ):
+        for chunk in chunks:
             for batch in batches:
                 tasks.append(
                     ShardTask(
@@ -527,21 +606,20 @@ class ParallelSearch:
         metrics.incr("parallel.backoff_waits")
         return delay
 
-    def _spawn_pool(
-        self, num_tasks: int, run: dict, metrics: Metrics
+    def _acquire_executor(
+        self, pool: ShardPool, run: dict, metrics: Metrics
     ) -> ProcessPoolExecutor | None:
-        """Create the process pool, honouring injected spawn failures."""
+        """The pool's executor, honouring injected spawn failures."""
         if run["spawn_failures_left"] > 0:
             run["spawn_failures_left"] -= 1
-            run["pool_spawn_failures"] += 1
-            metrics.incr("parallel.pool_spawn_failures")
-            return None
-        try:
-            return ProcessPoolExecutor(max_workers=min(self._workers, num_tasks))
-        except (OSError, BrokenExecutor, RuntimeError):
-            run["pool_spawn_failures"] += 1
-            metrics.incr("parallel.pool_spawn_failures")
-            return None
+        else:
+            try:
+                return pool.executor()
+            except (OSError, BrokenExecutor, RuntimeError):
+                pass
+        run["pool_spawn_failures"] += 1
+        metrics.incr("parallel.pool_spawn_failures")
+        return None
 
     # -- in-process execution (serial path and last-resort rescue) ---------
 
@@ -611,11 +689,15 @@ class ParallelSearch:
     # -- pooled execution ---------------------------------------------------
 
     def _execute_pooled(
-        self, states: list[_ShardState], run: dict, metrics: Metrics
+        self,
+        states: list[_ShardState],
+        pool: ShardPool,
+        run: dict,
+        metrics: Metrics,
     ) -> None:
         by_id = {state.task.shard_id: state for state in states}
-        pool = self._spawn_pool(len(states), run, metrics)
-        if pool is None:
+        executor = self._acquire_executor(pool, run, metrics)
+        if executor is None:
             # Pool failed to spawn: degrade to the serial path — same
             # shards, same merge, identical results.
             run["serial_fallback"] = True
@@ -626,6 +708,7 @@ class ParallelSearch:
         waiting: dict[int, float] = {shard_id: 0.0 for shard_id in sorted(by_id)}
         in_flight: dict = {}  # Future -> (shard_id, deadline)
         terminal: list[int] = []
+        abandoned = False  # an abandoned attempt may still hold a worker
 
         def schedule_failure(
             state: _ShardState, kind: str, *, consume_budget: bool = True
@@ -659,7 +742,7 @@ class ParallelSearch:
                     fault = self._fault_for(shard_id, attempt)
                     payload = (state.task, fault, self._hang_seconds(), parent_pid)
                     try:
-                        future = pool.submit(_run_shard, payload)
+                        future = executor.submit(_run_shard, payload)
                     except (BrokenExecutor, RuntimeError):
                         broken = True
                         break
@@ -717,6 +800,7 @@ class ParallelSearch:
                     for future, (shard_id, deadline) in list(in_flight.items()):
                         if now >= deadline:
                             del in_flight[future]
+                            abandoned = True
                             schedule_failure(by_id[shard_id], "timeout")
 
                 if broken:
@@ -728,11 +812,12 @@ class ParallelSearch:
                         schedule_failure(
                             by_id[shard_id], "pool_broken", consume_budget=False
                         )
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = None
+                    pool.retire(executor)
+                    executor = None
+                    abandoned = False
                     if run["pool_rebuilds"] < 1 + self._max_retries:
-                        pool = self._spawn_pool(len(states), run, metrics)
-                    if pool is None:
+                        executor = self._acquire_executor(pool, run, metrics)
+                    if executor is None:
                         # Rebuild cap hit or respawn failed: everything
                         # unfinished goes to the in-process rescue below.
                         terminal.extend(sorted(waiting))
@@ -741,10 +826,10 @@ class ParallelSearch:
                     run["pool_rebuilds"] += 1
                     metrics.incr("parallel.pool_rebuilds")
         finally:
-            if pool is not None:
-                # Never block on a hung worker; cancelled tasks were
-                # already requeued or rescued.
-                pool.shutdown(wait=False, cancel_futures=True)
+            if executor is not None and (abandoned or in_flight):
+                # Leave no stale attempt on the workers the next search
+                # gets: it starts on fresh ones.
+                pool.retire(executor)
 
         # Last resort: re-execute only the failed shards in-process,
         # with a fresh retry budget. The kernel is deterministic, so
@@ -766,13 +851,19 @@ class ParallelSearch:
 
     # -- execution ---------------------------------------------------------
 
-    def _execute(
-        self, states: list[_ShardState], run: dict, metrics: Metrics
-    ) -> None:
-        if self._workers == 1 or len(states) <= 1:
-            self._execute_serial(states, run, metrics)
+    @contextmanager
+    def _pool_scope(self) -> Iterator[ShardPool | None]:
+        """The pool for one search call: the caller's, a private one, or none."""
+        if self._workers == 1:
+            yield None
+        elif self._pool is not None:
+            yield self._pool
         else:
-            self._execute_pooled(states, run, metrics)
+            pool = ShardPool(self._workers)
+            try:
+                yield pool
+            finally:
+                pool.close()
 
     def search(self, genome: Sequence) -> list[OffTargetHit]:
         """Search one sequence; identical to the whole-genome kernel."""
@@ -793,6 +884,12 @@ class ParallelSearch:
         fault-tolerance totals, and an :class:`~repro.obs.Metrics`
         snapshot of the run.
         """
+        with self._pool_scope() as pool:
+            return self._search_one(genome, pool)
+
+    def _search_one(
+        self, genome: Sequence, pool: ShardPool | None
+    ) -> tuple[list[OffTargetHit], dict]:
         metrics = Metrics()
         started = time.perf_counter()
         with metrics.span("shard_tasks"):
@@ -811,14 +908,17 @@ class ParallelSearch:
             "panels": {},
         }
         with metrics.span("execute", shards=len(tasks)):
-            self._execute(states, run, metrics)
+            if pool is None or len(states) <= 1:
+                self._execute_serial(states, run, metrics)
+            else:
+                self._execute_pooled(states, pool, run, metrics)
         merge_started = time.perf_counter()
         with metrics.span("merge"):
             hits = merge_shards(
                 state.result for state in states if state.result is not None
             )
         finished = time.perf_counter()
-        num_batches = len(self.guide_batches)
+        num_chunks = len({task.chunk_start for task in tasks})
         shard_rows = []
         for state in sorted(states, key=lambda s: s.task.shard_id):
             result = state.result
@@ -843,8 +943,8 @@ class ParallelSearch:
             "pooled": run["pooled"],
             "serial_fallback": run["serial_fallback"],
             "num_shards": len(tasks),
-            "num_chunks": len(tasks) // num_batches if num_batches else 0,
-            "num_guide_batches": num_batches,
+            "num_chunks": num_chunks,
+            "num_guide_batches": len(tasks) // num_chunks if num_chunks else 0,
             "chunk_length": self._chunk_length,
             "overlap": self._overlap,
             "shards": shard_rows,
@@ -882,8 +982,9 @@ class ParallelSearch:
         """Search several sequences; hits merged canonically, stats per sequence."""
         hits: list[OffTargetHit] = []
         per_sequence: list[dict] = []
-        for genome in genomes:
-            sequence_hits, stats = self.search_with_stats(genome)
-            hits.extend(sequence_hits)
-            per_sequence.append({"sequence": genome.name, **stats})
+        with self._pool_scope() as pool:
+            for genome in genomes:
+                sequence_hits, stats = self._search_one(genome, pool)
+                hits.extend(sequence_hits)
+                per_sequence.append({"sequence": genome.name, **stats})
         return dedupe_hits(hits), per_sequence

@@ -221,8 +221,10 @@ class OffTargetService:
         """Service-level metrics: the ``--stats-json`` payload.
 
         Carries the acceptance-level signals by name — coalesced-batch
-        count, cache hit rate, shed-request count — plus the raw
-        :class:`~repro.obs.Metrics` snapshot for everything else.
+        count, cache hit rate, shed-request count, and the shard pool's
+        size and spawn count (a rising count means faults recycled the
+        pool) — plus the raw :class:`~repro.obs.Metrics` snapshot for
+        everything else.
         """
         metrics = self._metrics
         cache = self._cache.stats()
@@ -245,6 +247,7 @@ class OffTargetService:
                 ),
             },
             "cache": cache,
+            "pool": self._scheduler.pool_stats(),
             "sessions": self._sessions.describe(),
             "obs": metrics.snapshot(),
         }

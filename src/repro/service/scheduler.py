@@ -12,7 +12,10 @@ differential guarantee pinned by ``tests/test_service.py``).
 Batching is continuous: an idle batch thread dispatches the first
 admitted request at once, and everything admitted while that batch
 runs forms the next one, so a batch's size follows the load with no
-timer to tune.
+timer to tune. With ``workers > 1`` every pass runs on one
+:class:`~repro.core.parallel.ShardPool` that the scheduler keeps for
+its lifetime, so the shard workers are forked once, on the first
+pooled pass, rather than once per request.
 
 Why demultiplexing is exact
 ---------------------------
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Sequence as SequenceType, Union
 
 from ..core.compiler import CompiledGuide, CompiledLibrary, SearchBudget
-from ..core.parallel import ParallelSearch
+from ..core.parallel import ParallelSearch, ShardPool
 from ..errors import (
     CapacityError,
     DeadlineExceededError,
@@ -204,6 +207,9 @@ class RequestScheduler:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._flush_lock = threading.Lock()
+        # Only one batch runs at a time (the flush lock), so only one
+        # search uses the pool at a time.
+        self._pool = ShardPool(workers) if workers > 1 else None
 
     # -- introspection -----------------------------------------------------
 
@@ -219,6 +225,13 @@ class RequestScheduler:
     @property
     def max_queue_depth(self) -> int:
         return self._max_queue_depth
+
+    def pool_stats(self) -> dict[str, int]:
+        """The shard pool's size and how many executors it has spawned."""
+        return {
+            "workers": self._workers,
+            "spawns": self._pool.spawns if self._pool is not None else 0,
+        }
 
     @property
     def stopped(self) -> bool:
@@ -347,6 +360,7 @@ class RequestScheduler:
                 budget,
                 workers=self._workers,
                 chunk_length=self._chunk_length,
+                pool=self._pool,
             )
             self._metrics.incr("service.genome_passes")
             self._metrics.incr("service.pass_guides", len(pass_guides))
@@ -452,10 +466,11 @@ class RequestScheduler:
         self._thread.start()
 
     def stop(self) -> None:
-        """Refuse new requests, stop the loop and drain what remains.
+        """Refuse new requests, stop the loop, drain what remains, close the pool.
 
         Nothing admitted is dropped: every request queued before the
-        stop resolves in the final flush.
+        stop resolves in the final flush. The pool closes after it,
+        under the flush lock, so no pass is still using it.
         """
         with self._cond:
             self._stop.set()
@@ -464,6 +479,9 @@ class RequestScheduler:
             self._thread.join(timeout=30.0)
             self._thread = None
         self.flush()
+        if self._pool is not None:
+            with self._flush_lock:
+                self._pool.close()
 
     def _loop(self) -> None:
         # Dispatch on idle: flush as soon as anything is pending. What

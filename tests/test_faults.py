@@ -7,14 +7,21 @@ produce a hit list **bit-identical** to the clean run (and therefore
 to the :class:`NaiveSearcher` oracle), with the recovery path visible
 in the returned stats. Faults are injected deterministically through
 :class:`FaultPlan`, so each path is a plain assertion rather than a
-flake hunt.
+flake hunt. A :class:`ShardPool` that outlives one search must also
+keep each fault inside the search that suffered it.
 """
+
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro import FaultPlan, ParallelSearch, SearchBudget
 from repro.core.parallel import (
     FaultSpec,
+    ShardPool,
     ShardResult,
     _search_shard,
     validate_shard_result,
@@ -25,7 +32,9 @@ from repro.grna.hit import OffTargetHit
 from differential import assert_engines_agree, case_from_seed, oracle_hits
 from helpers import hit_multiset
 
-CHUNK = 700  # 3000 bp genome -> 4+ chunks -> ~8 shards with 2 guide batches
+# 3000 bp genome -> 5 chunks -> 5 shards at 2 workers: with more chunks
+# than workers the 2-guide panel is not split, so shard ids run 0-4.
+CHUNK = 700
 
 # One reproducible differential case shared by the whole module; the
 # harness derives the genome (seed 91), the 2-guide panel (seed 92),
@@ -316,6 +325,10 @@ class TestConformance:
         hits, stats = run(genome, guides, budget, **kwargs)
         assert hits == clean, label
         assert hit_multiset(hits) == hit_multiset(oracle), label
+        # Every planned fault names a shard that exists and failed.
+        for spec in kwargs["fault_plan"].faults:
+            assert spec.shard_id < stats["num_shards"], label
+            assert stats["shards"][spec.shard_id]["failures"], label
         # The degradation must be visible, not silent.
         ft = stats["fault_tolerance"]
         degraded = (
@@ -325,3 +338,83 @@ class TestConformance:
             or sum(ft["failures"].values())
         )
         assert degraded, f"{label}: no recovery recorded in stats"
+
+
+class TestSharedPool:
+    """One pool across consecutive searches, as the serving scheduler uses it."""
+
+    @pytest.fixture()
+    def pool(self):
+        pool = ShardPool(2)
+        yield pool
+        pool.close()
+
+    def assert_clean(self, hits, stats, clean):
+        assert hits == clean
+        assert stats["pooled"] is True
+        ft = stats["fault_tolerance"]
+        assert ft["failures"] == {}
+        assert ft["pool_rebuilds"] == 0
+
+    def test_kill_does_not_reach_the_next_search(
+        self, genome, guides, budget, clean, pool
+    ):
+        hits, stats = run(genome, guides, budget, pool=pool, fault_plan=FaultPlan.kill(1))
+        assert hits == clean
+        assert stats["fault_tolerance"]["failures"].get("worker_death", 0) >= 1
+        assert stats["fault_tolerance"]["pool_rebuilds"] >= 1
+        spawns = pool.spawns
+        self.assert_clean(*run(genome, guides, budget, pool=pool), clean)
+        assert pool.spawns == spawns
+
+    def test_abandoned_hang_does_not_reach_the_next_search(
+        self, genome, guides, budget, clean, pool
+    ):
+        hits, stats = run(
+            genome,
+            guides,
+            budget,
+            pool=pool,
+            shard_timeout=0.5,
+            fault_plan=FaultPlan.hang(0, hang_seconds=3),
+        )
+        assert hits == clean
+        assert stats["shards"][0]["timeouts"] >= 1
+        # The stalled worker stays with the retired executor; the next
+        # search starts on fresh workers instead of queueing behind it.
+        started = time.perf_counter()
+        hits, stats = run(genome, guides, budget, pool=pool)
+        assert time.perf_counter() - started < 1.5
+        self.assert_clean(hits, stats, clean)
+        assert pool.spawns == 2
+
+    def test_idle_worker_killed_between_searches(
+        self, genome, guides, budget, clean, pool
+    ):
+        before = set(multiprocessing.active_children())
+        self.assert_clean(*run(genome, guides, budget, pool=pool), clean)
+        workers = [c for c in multiprocessing.active_children() if c not in before]
+        assert workers
+        os.kill(workers[0].pid, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while workers[0].is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        hits, stats = run(genome, guides, budget, pool=pool)
+        assert hits == clean
+        assert stats["fault_tolerance"]["pool_rebuilds"] == 1
+        assert pool.spawns == 2
+        self.assert_clean(*run(genome, guides, budget, pool=pool), clean)
+
+    def test_spawn_failure_still_degrades_to_serial(
+        self, genome, guides, budget, clean, pool
+    ):
+        self.assert_clean(*run(genome, guides, budget, pool=pool), clean)
+        hits, stats = run(
+            genome, guides, budget, pool=pool, fault_plan=FaultPlan(pool_spawn_failures=1)
+        )
+        assert hits == clean
+        assert stats["serial_fallback"] is True
+        assert stats["pooled"] is False
+        assert stats["fault_tolerance"]["pool_spawn_failures"] == 1
+        self.assert_clean(*run(genome, guides, budget, pool=pool), clean)
+        assert pool.spawns == 1

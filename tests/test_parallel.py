@@ -32,7 +32,7 @@ from repro import (
 )
 from repro.core import bitparallel, matcher
 from repro.core import parallel as parallel_module
-from repro.core.parallel import ShardTask, _search_shard, merge_shards
+from repro.core.parallel import ShardPool, ShardTask, _search_shard, merge_shards
 from repro.errors import EngineError
 from repro.genome.sequence import Sequence
 from repro.grna.guide import Guide
@@ -357,9 +357,57 @@ class TestExecutor:
         executor = ParallelSearch(
             guides, SearchBudget(), workers=3, guide_batch_size=1
         )
-        batches = executor.guide_batches
+        for num_chunks in (0, 1, 5):
+            batches = executor.guide_batches(num_chunks)
+            assert [g for batch in batches for g in batch] == list(guides)
+            assert all(len(batch) == 1 for batch in batches)
+
+    @pytest.mark.parametrize(
+        "workers,num_chunks,expected",
+        [(2, 0, 2), (2, 1, 2), (2, 2, 1), (2, 7, 1), (3, 1, 3), (4, 2, 2), (8, 1, 4)],
+    )
+    def test_chunk_first_batches(self, guides, workers, num_chunks, expected):
+        # The panel is split only as far as it takes to give every
+        # worker a shard, and never into more batches than guides.
+        executor = ParallelSearch(guides, SearchBudget(), workers=workers)
+        batches = executor.guide_batches(num_chunks)
+        assert len(batches) == expected
         assert [g for batch in batches for g in batch] == list(guides)
-        assert all(len(batch) == 1 for batch in batches)
+
+    def test_two_workers_split_the_genome_before_the_panel(self, genome, guides):
+        budget = SearchBudget(mismatches=2)
+        expected = matcher.find_hits(genome, guides, budget)
+        many = ParallelSearch(guides, budget, workers=2, chunk_length=16_000)
+        hits, stats = many.search_with_stats(genome)
+        assert stats["num_chunks"] >= 2
+        assert stats["num_guide_batches"] == 1
+        assert stats["pooled"] is True
+        assert hits == expected
+        one = ParallelSearch(guides, budget, workers=2, chunk_length=1 << 20)
+        hits, stats = one.search_with_stats(genome)
+        assert stats["num_chunks"] == 1
+        assert stats["num_guide_batches"] == 2
+        assert stats["num_shards"] == 2
+        assert hits == expected
+
+    @pytest.mark.parametrize("chunk_length", [900, 16_000, 1 << 20])
+    @pytest.mark.parametrize("guide_batch_size", [None, 1, 3])
+    def test_stats_describe_the_layout_that_ran(
+        self, genome, guides, chunk_length, guide_batch_size
+    ):
+        executor = ParallelSearch(
+            guides,
+            SearchBudget(mismatches=1),
+            workers=1,
+            chunk_length=chunk_length,
+            guide_batch_size=guide_batch_size,
+        )
+        tasks = executor.shard_tasks(genome)
+        _, stats = executor.search_with_stats(genome)
+        assert stats["num_shards"] == len(tasks)
+        assert stats["num_chunks"] == len({task.chunk_start for task in tasks})
+        assert stats["num_guide_batches"] == len({task.guides for task in tasks})
+        assert stats["num_shards"] == stats["num_chunks"] * stats["num_guide_batches"]
 
     def test_search_many(self, guides):
         chr1 = random_genome(20_000, seed=43, name="chr1")
@@ -378,6 +426,27 @@ class TestExecutor:
         hits, stats = executor.search_with_stats(Sequence.from_text("e", ""))
         assert hits == []
         assert stats["num_shards"] == 0
+        assert stats["num_chunks"] == stats["num_guide_batches"] == 0
+
+    def test_search_many_constructs_one_executor(self, guides, monkeypatch):
+        constructed = []
+
+        class CountingExecutor(parallel_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                constructed.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", CountingExecutor)
+        chromosomes = [
+            random_genome(20_000, seed=seed, name=f"chr{seed}") for seed in (47, 48, 49)
+        ]
+        budget = SearchBudget(mismatches=3)
+        executor = ParallelSearch(guides, budget, workers=2, chunk_length=7000)
+        hits, per_sequence = executor.search_many_with_stats(chromosomes)
+        assert len(constructed) == 1
+        assert all(stats["pooled"] for stats in per_sequence)
+        whole = [h for c in chromosomes for h in matcher.find_hits(c, guides, budget)]
+        assert hit_multiset(hits) == hit_multiset(whole)
 
     def test_task_codes_are_views_of_the_genome(self):
         genome = random_genome(6000, seed=45, name="chrView")
@@ -412,7 +481,7 @@ class TestExecutor:
         )
         hits, stats = executor.search_with_stats(genome)
         assert stats["num_chunks"] > 1
-        assert compiled == executor.guide_batches
+        assert compiled == executor.guide_batches(stats["num_chunks"])
         assert hits == matcher.find_hits(genome, guides, budget)
 
     def test_validation(self, guides):
@@ -426,6 +495,66 @@ class TestExecutor:
             ParallelSearch(guides, SearchBudget(), chunk_length=5)
         with pytest.raises(EngineError):
             ParallelSearch(guides, SearchBudget(), guide_batch_size=0)
+
+
+class TestShardPool:
+    @pytest.fixture(scope="class")
+    def genome(self):
+        return random_genome(30_000, seed=61, name="chrPool")
+
+    @pytest.fixture(scope="class")
+    def guides(self, genome):
+        return sample_guides_from_genome(genome, 3, seed=62)
+
+    def test_spawns_on_first_pooled_dispatch_and_is_reused(self, genome, guides):
+        budget = SearchBudget(mismatches=2)
+        expected = matcher.find_hits(genome, guides, budget)
+        pool = ShardPool(2)
+        try:
+            assert pool.spawns == 0
+            # A one-shard search runs in-process and leaves the pool cold.
+            single = ParallelSearch(
+                guides, budget, workers=2, chunk_length=1 << 20,
+                guide_batch_size=len(guides), pool=pool,
+            )
+            assert single.search(genome) == expected
+            assert pool.spawns == 0
+            for _ in range(3):
+                executor = ParallelSearch(
+                    guides, budget, workers=2, chunk_length=8000, pool=pool
+                )
+                hits, stats = executor.search_with_stats(genome)
+                assert hits == expected
+                assert stats["pooled"] is True
+            assert pool.spawns == 1
+        finally:
+            pool.close()
+
+    def test_retire_then_respawn(self):
+        pool = ShardPool(1)
+        try:
+            first = pool.executor()
+            assert pool.executor() is first
+            pool.retire(first)
+            second = pool.executor()
+            assert second is not first
+            assert pool.spawns == 2
+        finally:
+            pool.close()
+
+    def test_closed_pool_refuses_dispatch(self):
+        pool = ShardPool(2)
+        pool.close()
+        pool.close()  # idempotent
+        with pytest.raises(EngineError, match="closed"):
+            pool.executor()
+        assert pool.spawns == 0
+
+    def test_validation(self, guides):
+        with pytest.raises(EngineError):
+            ShardPool(0)
+        with pytest.raises(EngineError):
+            ParallelSearch(guides, SearchBudget(), pool="a pool")
 
 
 # -- public API wiring --------------------------------------------------------

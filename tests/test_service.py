@@ -11,6 +11,7 @@ False`` + explicit ``flush()``), so no test depends on timing.
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import threading
 import time
@@ -138,6 +139,34 @@ class TestDifferentialGuarantee:
             service.add_genome("default", small_genome)
             result = service.query(pool[:4], budget)
         assert result.hits == oracle_hits(pool[:4], budget, small_genome)
+
+
+class TestPersistentPool:
+    def test_one_spawn_serves_every_query_and_close_reaps_it(
+        self, small_genome, pool
+    ):
+        before = set(multiprocessing.active_children())
+        service = make_service(workers=2, background=True)
+        try:
+            service.add_genome("default", small_genome)
+            assert service.stats()["pool"] == {"workers": 2, "spawns": 0}
+            for index in range(5):
+                guides = pool[index : index + 2]
+                budget = SearchBudget(mismatches=1 + index % 2)
+                result = service.query(guides, budget)
+                assert result.hits == oracle_hits(guides, budget, small_genome)
+            stats = service.stats()
+        finally:
+            service.close()
+        assert stats["genome_passes"] == 5
+        assert stats["pool"] == {"workers": 2, "spawns": 1}
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_in_process_service_never_spawns(self, small_genome, pool):
+        with make_service() as service:
+            service.add_genome("default", small_genome)
+            service.query(pool[:2], SearchBudget(mismatches=1))
+            assert service.stats()["pool"] == {"workers": 1, "spawns": 0}
 
 
 class TestCoalescing:

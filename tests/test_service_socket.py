@@ -182,6 +182,26 @@ def start_serve_subprocess(
     return process, port
 
 
+def child_pids(pid: int) -> list[int]:
+    """Live children of *pid*, read from ``/proc``."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and process_state(int(entry.name)) not in (None, "Z"):
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+            if int(fields[1]) == pid:
+                children.append(int(entry.name))
+    return children
+
+
+def process_state(pid: int) -> str | None:
+    """The ``/proc`` state letter of *pid*, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
 class TestServeSubprocess:
     def test_end_to_end_query_and_shutdown(self, tmp_path, genome, guides):
         budget = SearchBudget(mismatches=2)
@@ -200,6 +220,37 @@ class TestServeSubprocess:
             assert stats["cache"]["hit_rate"] > 0
             assert stats["requests"]["completed"] == 2
             assert process.wait(timeout=SUBPROCESS_TIMEOUT) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_pooled_serve_forks_once_and_reaps_its_workers(
+        self, tmp_path, genome, guides
+    ):
+        drain_deadline = 10.0
+        process, port = start_serve_subprocess(
+            tmp_path,
+            genome,
+            "--workers", "2",
+            "--chunk-length", "1000",
+            "--drain-deadline", str(drain_deadline),
+        )
+        try:
+            with ServiceClient("127.0.0.1", port, timeout_seconds=60) as client:
+                for index in range(5):
+                    panel = guides[index % len(guides):]
+                    budget = SearchBudget(mismatches=1 + index % 2)
+                    expected = OffTargetSearch(panel, budget).run(genome).hits
+                    assert client.query(panel, budget).hits == expected
+                stats = client.stats()
+                workers = child_pids(process.pid)
+                client.shutdown()
+            assert process.wait(timeout=drain_deadline) == 0
+            assert stats["pool"] == {"workers": 2, "spawns": 1}
+            assert len(workers) == 2
+            assert [process_state(pid) for pid in workers] == [None, None]
         finally:
             if process.poll() is None:
                 process.kill()
