@@ -79,6 +79,18 @@ def _nonnegative_int(value: str) -> int:
     return parsed
 
 
+def _request_timeout(value: str) -> float:
+    """Argparse type for a request timeout (see ``checked_timeout``)."""
+    from .service.api import checked_timeout
+
+    try:
+        seconds = float(value)
+        checked_timeout(seconds)
+    except (ValueError, ServiceError) as error:
+        raise argparse.ArgumentTypeError(str(error))
+    return seconds
+
+
 def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mismatches", type=_nonnegative_int, default=3, help="mismatch budget"
@@ -139,13 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-timeout",
         type=float,
         default=None,
-        help="per-shard attempt deadline in seconds (with --workers)",
-    )
-    search.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="extra attempts per failed shard (with --workers)",
+        help="per-shard attempt deadline in seconds (needs --workers)",
     )
     search.add_argument(
         "--stats-json",
@@ -326,10 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--session", default="default", help="genome session to search")
     query.add_argument(
         "--timeout",
-        type=float,
+        type=_request_timeout,
         default=None,
         metavar="SECONDS",
-        help="dispatch deadline; an expired request exits with code 3",
+        help="deadline for dispatch and retries (finite, > 0); an expired "
+        "request exits with code 3",
     )
     query.add_argument(
         "--retries",
@@ -497,6 +504,8 @@ def _command_search(args: argparse.Namespace) -> int:
 
     if args.chunk_length is not None and args.workers is None:
         raise ReproError("--chunk-length needs --workers (it sizes the shards)")
+    if args.shard_timeout is not None and args.workers is None:
+        raise ReproError("--shard-timeout needs --workers (it bounds a shard attempt)")
     records = read_fasta(args.reference)
     library = parse_guide_table(args.guides, pam=args.pam)
     budget = _budget_from(args)
@@ -523,7 +532,6 @@ def _command_search(args: argparse.Namespace) -> int:
             workers=args.workers,
             chunk_length=args.chunk_length or (1 << 20),
             shard_timeout=args.shard_timeout,
-            max_retries=args.max_retries,
         )
         hits, per_sequence = executor.search_many_with_stats(
             record.sequence for record in records

@@ -50,20 +50,24 @@ small supervised scheduler rather than a bare ``pool.map``:
 * every shard attempt carries a deadline (``shard_timeout``); an
   attempt that blows it is abandoned and the shard is **requeued onto
   the surviving workers**;
-* failed attempts (worker death, timeout, corrupt payload) are retried
-  with **exponential backoff** up to ``max_retries`` extra attempts;
+* a failed attempt (worker death, timeout, corrupt payload) is
+  **resubmitted at once**, up to :data:`SHARD_ATTEMPTS` attempts per
+  shard. Waiting would fix none of these failures: the kernel is
+  deterministic and reports the same sites on every pass, so a retry
+  needs only a live worker, not time;
 * a worker death breaks the whole :class:`ProcessPoolExecutor`
   (CPython semantics), so the scheduler **retires it, spawns fresh
-  workers** from the same :class:`ShardPool` and requeues everything
-  that was in flight;
+  workers** from the same :class:`ShardPool` (at most
+  :data:`SHARD_ATTEMPTS` times per run) and requeues everything that
+  was in flight;
 * an executor still running an abandoned attempt is retired when the
   search ends, so a fault on a long-lived pool never reaches the next
   search;
-* shards that exhaust their pooled retry budget fall back to a
-  **last-resort in-process re-execution** of only those shards, with a
-  fresh retry budget — the merge stays bit-identical because every
-  recovery path re-runs the same deterministic kernel on the same
-  shard payload;
+* shards that exhaust their pooled attempts fall back to a
+  **last-resort in-process re-execution** of only those shards, with
+  :data:`SHARD_ATTEMPTS` more attempts — the merge stays bit-identical
+  because every recovery path re-runs the same deterministic kernel on
+  the same shard payload;
 * ``workers=1`` runs the shards serially in-process (no pool); a pool
   that fails to spawn degrades to the same serial path. Both are
   recorded in the returned stats rather than raised.
@@ -108,6 +112,10 @@ from .streaming import iter_chunks
 
 #: Injectable fault kinds, in increasing order of subtlety.
 FAULT_KINDS = ("kill", "hang", "corrupt")
+
+#: Attempts per shard in each execution arena (the pooled run and the
+#: in-process rescue), and the cap on pool rebuilds per run.
+SHARD_ATTEMPTS = 3
 
 
 class ShardError(EngineError):
@@ -434,25 +442,15 @@ class ParallelSearch:
         Process count; ``None`` means ``os.cpu_count()``. ``1`` runs
         the shards serially in-process.
     chunk_length:
-        Genome chunk size; must exceed the derived overlap.
-    guide_batch_size:
-        Guides per batch. ``None`` (default) splits the genome first
-        and the library only as far as it takes to give every worker a
-        shard: ``min(len(guides), ceil(workers / chunks))`` batches, so
-        a sequence of at least ``workers`` chunks is scanned with the
-        whole panel in every shard.
+        Genome chunk size; must exceed the derived overlap. The genome
+        is split first and the library only as far as it takes to give
+        every worker a shard: ``min(len(guides), ceil(workers /
+        chunks))`` guide batches, so a sequence of at least ``workers``
+        chunks is scanned with the whole panel in every shard.
     shard_timeout:
         Per-attempt deadline in seconds; ``None`` (default) waits
         indefinitely. An attempt past its deadline is abandoned and
-        the shard requeued onto the surviving workers.
-    max_retries:
-        Extra attempts per shard beyond the first, per execution arena
-        (the pooled run and the in-process rescue each get this
-        budget).
-    backoff_seconds:
-        Base of the exponential backoff between a shard's attempts
-        (``backoff_seconds * 2**(failures - 1)``); ``0`` disables
-        waiting.
+        the shard resubmitted at once onto the surviving workers.
     fault_plan:
         Deterministic fault injection for tests and drills; ``None``
         (default) injects nothing.
@@ -470,10 +468,7 @@ class ParallelSearch:
         *,
         workers: int | None = None,
         chunk_length: int = 1 << 20,
-        guide_batch_size: int | None = None,
         shard_timeout: float | None = None,
-        max_retries: int = 2,
-        backoff_seconds: float = 0.05,
         fault_plan: FaultPlan | None = None,
         pool: ShardPool | None = None,
     ) -> None:
@@ -494,22 +489,11 @@ class ParallelSearch:
                 f"chunk_length {chunk_length} must exceed the overlap {self._overlap}"
             )
         self._chunk_length = chunk_length
-        if guide_batch_size is not None and guide_batch_size < 1:
-            raise EngineError("guide_batch_size must be positive")
-        self._guide_batch_size = guide_batch_size
         if shard_timeout is not None and not shard_timeout > 0:
             raise EngineError(
                 f"shard_timeout must be positive or None, got {shard_timeout!r}"
             )
         self._shard_timeout = shard_timeout
-        if not isinstance(max_retries, int) or max_retries < 0:
-            raise EngineError(
-                f"max_retries must be a non-negative integer, got {max_retries!r}"
-            )
-        self._max_retries = max_retries
-        if backoff_seconds < 0:
-            raise EngineError(f"backoff_seconds must be >= 0, got {backoff_seconds!r}")
-        self._backoff_seconds = backoff_seconds
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             raise EngineError(f"fault_plan must be a FaultPlan, got {fault_plan!r}")
         self._fault_plan = fault_plan
@@ -535,18 +519,11 @@ class ParallelSearch:
     def shard_timeout(self) -> float | None:
         return self._shard_timeout
 
-    @property
-    def max_retries(self) -> int:
-        return self._max_retries
-
     def guide_batches(self, num_chunks: int) -> list[tuple[Guide, ...]]:
         """The disjoint guide batches of a run over *num_chunks* chunks."""
         guides = self._guides
-        if self._guide_batch_size is None:
-            count = min(len(guides), -(-self._workers // max(1, num_chunks)))
-            bounds = [len(guides) * index // count for index in range(count + 1)]
-        else:
-            bounds = [*range(0, len(guides), self._guide_batch_size), len(guides)]
+        count = min(len(guides), -(-self._workers // max(1, num_chunks)))
+        bounds = [len(guides) * index // count for index in range(count + 1)]
         return [tuple(guides[low:high]) for low, high in zip(bounds, bounds[1:])]
 
     # -- sharding ----------------------------------------------------------
@@ -597,15 +574,6 @@ class ParallelSearch:
         metrics.incr("parallel.report_events", result.num_hits)
         metrics.observe("parallel.shard_seconds", result.seconds)
 
-    def _backoff_delay(self, nth_failure: int, run: dict, metrics: Metrics) -> float:
-        """The wait before retry number *nth_failure* (1-based)."""
-        if self._backoff_seconds <= 0:
-            return 0.0
-        delay = self._backoff_seconds * (2 ** (nth_failure - 1))
-        run["backoff_waits"] += 1
-        metrics.incr("parallel.backoff_waits")
-        return delay
-
     def _acquire_executor(
         self, pool: ShardPool, run: dict, metrics: Metrics
     ) -> ProcessPoolExecutor | None:
@@ -631,7 +599,7 @@ class ParallelSearch:
         *,
         recovery_label: str = "retry",
     ) -> bool:
-        """Run one shard in-process with a fresh retry budget.
+        """Run one shard in-process, up to :data:`SHARD_ATTEMPTS` attempts.
 
         An injected ``hang`` is only observable against a configured
         deadline, so with ``shard_timeout`` set it becomes an immediate
@@ -644,7 +612,7 @@ class ParallelSearch:
         if guides not in run["panels"]:
             run["panels"][guides] = bitparallel.BitParallelPanel(guides, self._budget)
         panel = run["panels"][guides]
-        for arena_attempt in range(1 + self._max_retries):
+        for _ in range(SHARD_ATTEMPTS):
             attempt = state.attempts + 1
             state.attempts = attempt
             fault = self._fault_for(state.task.shard_id, attempt)
@@ -665,10 +633,6 @@ class ParallelSearch:
                     )
             except ShardError as error:
                 self._record_failure(state, error.kind, metrics)
-                if arena_attempt < self._max_retries:
-                    delay = self._backoff_delay(len(state.failures), run, metrics)
-                    if delay:
-                        time.sleep(delay)
                 continue
             self._record_success(state, result, metrics)
             if state.failures:
@@ -705,7 +669,7 @@ class ParallelSearch:
             return
         run["pooled"] = True
         parent_pid = os.getpid()
-        waiting: dict[int, float] = {shard_id: 0.0 for shard_id in sorted(by_id)}
+        waiting: set[int] = set(by_id)  # shards to (re)submit at once
         in_flight: dict = {}  # Future -> (shard_id, deadline)
         terminal: list[int] = []
         abandoned = False  # an abandoned attempt may still hold a worker
@@ -715,28 +679,19 @@ class ParallelSearch:
         ) -> None:
             # A broken-pool failure is collateral damage — the shard's
             # own attempt may have been perfectly healthy — so it
-            # requeues immediately without consuming the shard's retry
-            # budget; runaway kills are bounded by the rebuild cap
-            # instead.
+            # requeues without counting against the shard's attempts;
+            # runaway kills are bounded by the rebuild cap instead.
             self._record_failure(state, kind, metrics)
-            if consume_budget and state.attempts >= 1 + self._max_retries:
+            if consume_budget and state.attempts >= SHARD_ATTEMPTS:
                 terminal.append(state.task.shard_id)
             else:
-                delay = (
-                    self._backoff_delay(len(state.failures), run, metrics)
-                    if consume_budget
-                    else 0.0
-                )
-                waiting[state.task.shard_id] = time.perf_counter() + delay
+                waiting.add(state.task.shard_id)
 
         try:
             while waiting or in_flight:
                 now = time.perf_counter()
                 broken = False
-                # Submit every waiting shard whose backoff has elapsed.
                 for shard_id in sorted(waiting):
-                    if waiting[shard_id] > now:
-                        continue
                     state = by_id[shard_id]
                     attempt = state.attempts + 1
                     fault = self._fault_for(shard_id, attempt)
@@ -746,7 +701,7 @@ class ParallelSearch:
                     except (BrokenExecutor, RuntimeError):
                         broken = True
                         break
-                    del waiting[shard_id]
+                    waiting.discard(shard_id)
                     state.attempts = attempt
                     deadline = (
                         now + self._shard_timeout
@@ -756,17 +711,7 @@ class ParallelSearch:
                     in_flight[future] = (shard_id, deadline)
 
                 if not broken:
-                    if not in_flight:
-                        # Everything left is backing off; sleep until the
-                        # earliest shard becomes eligible again.
-                        if waiting:
-                            pause = min(waiting.values()) - time.perf_counter()
-                            if pause > 0:
-                                time.sleep(pause)
-                        continue
                     horizon = min(deadline for _, deadline in in_flight.values())
-                    if waiting:
-                        horizon = min(horizon, min(waiting.values()))
                     timeout = None if horizon == math.inf else max(0.0, horizon - now)
                     done, _ = wait(
                         list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
@@ -815,7 +760,7 @@ class ParallelSearch:
                     pool.retire(executor)
                     executor = None
                     abandoned = False
-                    if run["pool_rebuilds"] < 1 + self._max_retries:
+                    if run["pool_rebuilds"] < SHARD_ATTEMPTS:
                         executor = self._acquire_executor(pool, run, metrics)
                     if executor is None:
                         # Rebuild cap hit or respawn failed: everything
@@ -832,8 +777,9 @@ class ParallelSearch:
                 pool.retire(executor)
 
         # Last resort: re-execute only the failed shards in-process,
-        # with a fresh retry budget. The kernel is deterministic, so
-        # the merge stays bit-identical to an all-pooled run.
+        # with SHARD_ATTEMPTS more attempts. The kernel is
+        # deterministic, so the merge stays bit-identical to an
+        # all-pooled run.
         for shard_id in sorted(set(terminal)):
             state = by_id[shard_id]
             if state.result is not None:
@@ -903,7 +849,6 @@ class ParallelSearch:
             "spawn_failures_left": (
                 self._fault_plan.pool_spawn_failures if self._fault_plan else 0
             ),
-            "backoff_waits": 0,
             "in_process_rescues": 0,
             "panels": {},
         }
@@ -957,14 +902,11 @@ class ParallelSearch:
             "report_events": int(metrics.counter("parallel.report_events")),
             "fault_tolerance": {
                 "shard_timeout": self._shard_timeout,
-                "max_retries": self._max_retries,
-                "backoff_seconds": self._backoff_seconds,
                 "retries": sum(max(0, state.attempts - 1) for state in states),
                 "timeouts": sum(state.timeouts for state in states),
                 "failures": failure_totals,
                 "pool_rebuilds": run["pool_rebuilds"],
                 "pool_spawn_failures": run["pool_spawn_failures"],
-                "backoff_waits": run["backoff_waits"],
                 "in_process_rescues": run["in_process_rescues"],
             },
             "obs": metrics.snapshot(),

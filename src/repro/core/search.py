@@ -31,7 +31,7 @@ from .compiler import CompiledLibrary, SearchBudget, compile_library
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep startup light
     from ..engines.base import EngineResult
-    from .parallel import FaultPlan, ParallelSearch
+    from .parallel import ParallelSearch
 
 #: Engine used when the caller does not pick one.
 DEFAULT_ENGINE = "hyperscan"
@@ -79,15 +79,14 @@ class OffTargetSearch:
 
     ``workers`` selects the functional execution path for engine runs:
     ``1`` (the default) enumerates hits with the single-threaded
-    vectorised kernel; any other value shards the genome and guide set
-    across a process pool (:class:`repro.core.parallel.ParallelSearch`)
-    with results guaranteed identical to the serial path — including
-    across worker death, shard timeouts, and corrupt results, which the
-    executor retries with backoff and, as a last resort, re-runs
-    in-process (``shard_timeout`` / ``max_retries`` /
-    ``backoff_seconds`` tune the recovery policy; ``fault_plan``
-    injects deterministic faults for tests and drills). Both paths run
-    the bit-parallel kernel (:mod:`repro.core.bitparallel`). Baselines
+    vectorised kernel; any other value shards the genome into
+    ``chunk_length`` chunks (and the guide set, when there are fewer
+    chunks than workers) across a process pool
+    (:class:`repro.core.parallel.ParallelSearch`) with results
+    guaranteed identical to the serial path — including across worker
+    death and corrupt results, which the executor resubmits at once
+    and, as a last resort, re-runs in-process. Both paths run the
+    bit-parallel kernel (:mod:`repro.core.bitparallel`). Baselines
     model competing tools' own algorithms and always run serially.
 
     Every :meth:`run` report carries the pipeline's observability
@@ -102,10 +101,6 @@ class OffTargetSearch:
         *,
         workers: int = 1,
         chunk_length: int = 1 << 20,
-        shard_timeout: float | None = None,
-        max_retries: int = 2,
-        backoff_seconds: float = 0.05,
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         if not isinstance(guides, GuideLibrary):
             guides = GuideLibrary.from_guides(list(guides))
@@ -115,10 +110,6 @@ class OffTargetSearch:
             raise EngineError(f"workers must be a positive integer, got {workers!r}")
         self._workers = workers
         self._chunk_length = chunk_length
-        self._shard_timeout = shard_timeout
-        self._max_retries = max_retries
-        self._backoff_seconds = backoff_seconds
-        self._fault_plan = fault_plan
 
     @property
     def library(self) -> GuideLibrary:
@@ -147,10 +138,6 @@ class OffTargetSearch:
             self._budget,
             workers=self._workers,
             chunk_length=self._chunk_length,
-            shard_timeout=self._shard_timeout,
-            max_retries=self._max_retries,
-            backoff_seconds=self._backoff_seconds,
-            fault_plan=self._fault_plan,
         )
 
     def run(

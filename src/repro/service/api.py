@@ -25,6 +25,7 @@ tests drive.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import Future
 from pathlib import Path
@@ -39,6 +40,22 @@ from ..platforms.spec import ApSpec, FpgaSpec
 from .cache import CompiledGuideCache
 from .scheduler import QueryRequest, RequestScheduler, ServiceResult, make_requests
 from .sessions import GenomeSession, SessionRegistry
+
+
+def checked_timeout(timeout_seconds: float | None) -> float | None:
+    """*timeout_seconds* if it is ``None`` or a finite number > 0.
+
+    A request's timeout is its only deadline. NaN, zero and negative
+    values would expire it before dispatch and an infinity would never
+    expire, so each is refused with :class:`ServiceError`.
+    """
+    if timeout_seconds is None or (
+        math.isfinite(timeout_seconds) and timeout_seconds > 0
+    ):
+        return timeout_seconds
+    raise ServiceError(
+        f"timeout must be a finite number of seconds > 0, got {timeout_seconds!r}"
+    )
 
 
 class OffTargetService:
@@ -138,10 +155,12 @@ class OffTargetService:
         """Admit a query; the returned future resolves after its batch runs.
 
         ``timeout_seconds`` becomes the request's dispatch deadline
-        (admission control), measured from now.
+        (admission control), measured from now; one that is not a
+        finite number > 0 is refused before admission.
         """
         if self._closed:
             raise ServiceError("service is closed")
+        checked_timeout(timeout_seconds)
         deadline = (
             time.monotonic() + timeout_seconds if timeout_seconds is not None else None
         )

@@ -84,15 +84,17 @@ class RetryPolicy:
     every other typed answer — ``deadline``, ``capacity``,
     ``bad_request``, ``internal`` — never.
 
-    ``deadline_seconds`` bounds the *whole* retry schedule: measured
-    from the first attempt, the total time spent (attempts plus
-    backoff sleeps) never exceeds it. Each backoff is clamped to the
-    remaining budget and an exhausted budget raises
+    This is the system's one backoff schedule: a failed shard is
+    resubmitted at once and router failover walks the replicas without
+    a delay. A query/design ``timeout_seconds`` is the request's only
+    deadline. It bounds the server's dispatch and the *whole* retry
+    schedule: measured from the first attempt, the total time spent
+    (attempts plus backoff sleeps) never exceeds it. Each backoff is
+    clamped to the remaining time and a spent timeout raises
     :class:`~repro.errors.DeadlineExceededError` instead of sleeping
-    past the caller's horizon — without it, ``max_attempts`` capped
-    exponential backoff could keep a caller waiting long after the
-    deadline it asked the *server* to respect. A query/design
-    ``timeout_seconds`` imposes the same horizon implicitly.
+    past it — without the clamp, ``max_attempts`` capped exponential
+    backoff could keep a caller waiting long after the deadline it
+    asked the *server* to respect.
     """
 
     max_attempts: int = 4
@@ -102,7 +104,6 @@ class RetryPolicy:
     jitter_fraction: float = 0.5
     seed: int = 0
     retry_overloaded: bool = True
-    deadline_seconds: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
@@ -111,11 +112,6 @@ class RetryPolicy:
             )
         if self.base_delay_seconds < 0 or self.max_delay_seconds < 0:
             raise ServiceError("retry delays must be >= 0")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ServiceError(
-                f"deadline_seconds must be positive when set, "
-                f"got {self.deadline_seconds!r}"
-            )
         if self.multiplier < 1.0:
             raise ServiceError(f"multiplier must be >= 1, got {self.multiplier!r}")
         if not 0.0 <= self.jitter_fraction <= 1.0:
@@ -274,9 +270,9 @@ class ServiceClient:
                     raise
                 delay = policy.delay_seconds(attempt, self._rng)
                 if deadline is not None:
-                    # The deadline budget bounds the whole schedule:
-                    # never sleep past the horizon, and give up typed
-                    # once it is spent instead of burning attempts.
+                    # The request's timeout bounds the whole schedule:
+                    # never sleep past it, and give up typed once it
+                    # is spent instead of burning attempts.
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         self._metrics.incr("service.client.deadline_exhausted")
@@ -292,20 +288,13 @@ class ServiceClient:
     def _retry_horizon(self, payload: dict[str, Any]) -> float | None:
         """Absolute monotonic deadline for this roundtrip's retries.
 
-        The tighter of the policy's ``deadline_seconds`` and the
-        request's own ``timeout`` field — a caller that bounded the
+        The request's own ``timeout`` field: a caller that bounded the
         server-side dispatch has bounded its own patience too.
         """
-        horizons: list[float] = []
-        policy = self._retry
-        if policy is not None and policy.deadline_seconds is not None:
-            horizons.append(policy.deadline_seconds)
         raw_timeout = payload.get("timeout")
         if isinstance(raw_timeout, (int, float)):
-            horizons.append(float(raw_timeout))
-        if not horizons:
-            return None
-        return time.monotonic() + min(horizons)
+            return time.monotonic() + float(raw_timeout)
+        return None
 
     def exchange(self, payload: dict[str, Any]) -> dict[str, Any]:
         """One request/response exchange; typed refusals come back as data.

@@ -99,7 +99,7 @@ from ..grna.guide import Guide
 from ..grna.hit import OffTargetHit
 from ..grna.pam import Pam, get_pam
 from ..obs import Metrics
-from .api import OffTargetService
+from .api import OffTargetService, checked_timeout
 from .cache import canonical_name
 from .chaos import ChaosPlan
 from .scheduler import ServiceResult
@@ -1031,7 +1031,9 @@ class OffTargetServer(JsonLinesServer):
             session_id = str(payload.get("session", "default"))
             request_id = str(payload.get("id", ""))
             raw_timeout = payload.get("timeout")
-            timeout = None if raw_timeout is None else float(raw_timeout)
+            timeout = checked_timeout(
+                None if raw_timeout is None else float(raw_timeout)
+            )
         except (KeyError, TypeError, ValueError) as error:
             raise ServiceError(f"malformed query: {error!r}") from error
         return guides, budget, session_id, request_id, timeout
@@ -1145,7 +1147,9 @@ class OffTargetServer(JsonLinesServer):
             session_id = str(payload.get("session", "default"))
             request_id = str(payload.get("id", ""))
             raw_timeout = payload.get("timeout")
-            timeout = None if raw_timeout is None else float(raw_timeout)
+            timeout = checked_timeout(
+                None if raw_timeout is None else float(raw_timeout)
+            )
             raw_weights = payload.get("weights")
             if raw_weights is not None and not isinstance(raw_weights, dict):
                 raise ServiceError("design 'weights' must be a JSON object")

@@ -136,11 +136,7 @@ def run_engine(name: str, case: DifferentialCase) -> list[OffTargetHit]:
         return bitparallel.find_hits(genome, guides, budget)
     if name == "parallel":
         return ParallelSearch(
-            guides,
-            budget,
-            workers=case.workers,
-            chunk_length=chunk,
-            backoff_seconds=0.0,
+            guides, budget, workers=case.workers, chunk_length=chunk
         ).search(genome)
     if name == "search-api":
         search = OffTargetSearch(guides, budget)

@@ -159,6 +159,21 @@ class TestSearchWorkers:
         assert captured.out == ""
         assert captured.err == "error: --chunk-length needs --workers (it sizes the shards)\n"
 
+    def test_shard_timeout_without_workers_exits_2(
+        self, reference, guide_table, capsys
+    ):
+        # Only --workers runs shards; a lone --shard-timeout must not be
+        # silently ignored by the engine path.
+        code = main(
+            ["search", str(reference), str(guide_table), "--shard-timeout", "0.001"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --shard-timeout needs --workers (it bounds a shard attempt)\n"
+        )
+
 
 class TestBadInputs:
     """Exit codes and stderr for malformed invocations, pinned."""
@@ -221,7 +236,7 @@ class TestStatsJson:
     def test_sharded_mode_payload(self, reference, guide_table, tmp_path, capsys):
         payload, _ = self._run(
             reference, guide_table, tmp_path,
-            "--workers", "2", "--chunk-length", "8192", "--max-retries", "1",
+            "--workers", "2", "--chunk-length", "8192", "--shard-timeout", "30",
         )
         capsys.readouterr()
         assert payload["mode"] == "sharded-pooled"
@@ -234,7 +249,7 @@ class TestStatsJson:
             assert shard["seconds"] >= 0.0
             assert shard["attempts"] >= 1
         ft = run["fault_tolerance"]
-        assert ft["max_retries"] == 1
+        assert ft["shard_timeout"] == 30.0
         assert ft["retries"] == 0
         assert ft["timeouts"] == 0
 

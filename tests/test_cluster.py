@@ -915,17 +915,11 @@ class TestCrossNodeChaosSweep:
 
 
 class TestRetryDeadline:
-    def test_deadline_validation_is_typed(self):
-        with pytest.raises(ServiceError):
-            RetryPolicy(deadline_seconds=0)
-        with pytest.raises(ServiceError):
-            RetryPolicy(deadline_seconds=-1.0)
-
     def test_retry_schedule_is_clamped_to_the_deadline(
         self, genome, guides, budget
     ):
-        # Eight retryable failures are on offer, but the deadline
-        # budget spends long before the attempt budget: the client
+        # Eight retryable failures are on offer, but the request's
+        # timeout is spent long before the attempt budget: the client
         # must give up typed instead of burning all eight.
         server = make_backend(
             genome,
@@ -939,17 +933,17 @@ class TestRetryDeadline:
                 host,
                 port,
                 timeout_seconds=10,
-                retry=RetryPolicy(
-                    seed=5,
-                    max_attempts=8,
-                    base_delay_seconds=0.2,
-                    deadline_seconds=0.25,
-                ),
+                retry=RetryPolicy(seed=5, max_attempts=8, base_delay_seconds=0.2),
             )
             started = time.monotonic()
             with client:
                 with pytest.raises(DeadlineExceededError):
-                    client.query(guides, budget, request_id="deadline-1")
+                    client.query(
+                        guides,
+                        budget,
+                        request_id="deadline-1",
+                        timeout_seconds=0.25,
+                    )
             elapsed = time.monotonic() - started
             assert elapsed < 5, "deadline did not bound the schedule"
             assert (
@@ -1003,12 +997,12 @@ class TestRetryDeadline:
                 host,
                 port,
                 timeout_seconds=10,
-                retry=RetryPolicy(
-                    seed=9, base_delay_seconds=0.001, deadline_seconds=30.0
-                ),
+                retry=RetryPolicy(seed=9, base_delay_seconds=0.001),
             )
             with client:
-                result = client.query(guides, budget, request_id="recover-1")
+                result = client.query(
+                    guides, budget, request_id="recover-1", timeout_seconds=30.0
+                )
             assert result.hits == oracle
             assert client.metrics.counter("service.client.retries") == 1
             assert server.execution_counts() == {"recover-1": 1}

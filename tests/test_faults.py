@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro import FaultPlan, ParallelSearch, SearchBudget
+from repro.core import parallel as parallel_module
 from repro.core.parallel import (
     FaultSpec,
     ShardPool,
@@ -71,18 +72,13 @@ def clean():
     """
     assert_engines_agree(CASE)
     return ParallelSearch(
-        list(CASE.guides),
-        CASE.budget,
-        workers=1,
-        chunk_length=CHUNK,
-        backoff_seconds=0.0,
+        list(CASE.guides), CASE.budget, workers=1, chunk_length=CHUNK
     ).search(CASE.genome)
 
 
 def run(genome, guides, budget, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("chunk_length", CHUNK)
-    kwargs.setdefault("backoff_seconds", 0.0)
     executor = ParallelSearch(guides, budget, **kwargs)
     return executor.search_with_stats(genome)
 
@@ -137,12 +133,14 @@ class TestKill:
         assert stats["fault_tolerance"]["retries"] >= 1
 
     def test_relentless_kill_rescued_in_process(self, genome, guides, budget, clean):
-        # Shard 0 dies on its first three attempts; with max_retries=1
-        # the pool may only be rebuilt twice, so the scheduler abandons
-        # it and re-executes the failed shards in-process (attempt 4,
-        # unfaulted) — the last-resort path.
-        plan = FaultPlan(faults=tuple(FaultSpec(0, a, "kill") for a in (1, 2, 3)))
-        hits, stats = run(genome, guides, budget, max_retries=1, fault_plan=plan)
+        # Shard 0 dies on its first four attempts; the pool may only be
+        # rebuilt three times (SHARD_ATTEMPTS), so the scheduler
+        # abandons it and re-executes the failed shards in-process
+        # (attempt 5, unfaulted) — the last-resort path.
+        plan = FaultPlan(
+            faults=tuple(FaultSpec(0, a, "kill") for a in (1, 2, 3, 4))
+        )
+        hits, stats = run(genome, guides, budget, fault_plan=plan)
         assert hits == clean
         ft = stats["fault_tolerance"]
         assert ft["in_process_rescues"] >= 1
@@ -154,16 +152,64 @@ class TestKill:
             faults=tuple(FaultSpec(0, a, "kill") for a in range(1, 12))
         )
         executor = ParallelSearch(
-            guides,
-            budget,
-            workers=1,
-            chunk_length=CHUNK,
-            max_retries=1,
-            backoff_seconds=0.0,
-            fault_plan=plan,
+            guides, budget, workers=1, chunk_length=CHUNK, fault_plan=plan
         )
         with pytest.raises(EngineError, match="shard 0 failed"):
             executor.search(genome)
+
+
+class _RecordingTime:
+    """Stands in for ``time`` inside ``core/parallel.py``; logs sleeps."""
+
+    def __init__(self):
+        self.sleeps = []
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        time.sleep(seconds)
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
+class TestImmediateRetry:
+    """A failed shard is resubmitted at once, up to ``SHARD_ATTEMPTS``."""
+
+    @pytest.fixture()
+    def clock(self, monkeypatch):
+        recorder = _RecordingTime()
+        monkeypatch.setattr(parallel_module, "time", recorder)
+        return recorder
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_corrupt_shard_retried_without_waiting(
+        self, workers, genome, guides, budget, clean, clock
+    ):
+        plan = FaultPlan(
+            faults=(FaultSpec(0, 1, "corrupt"), FaultSpec(0, 2, "corrupt"))
+        )
+        executor = ParallelSearch(
+            guides, budget, workers=workers, chunk_length=CHUNK, fault_plan=plan
+        )
+        hits, stats = executor.search_with_stats(genome)
+        assert hits == clean
+        assert stats["shards"][0]["attempts"] == 3
+        assert stats["shards"][0]["failures"] == ["corrupt_result"] * 2
+        assert clock.sleeps == []
+
+    def test_serial_attempts_are_capped(self, genome, guides, budget, clock):
+        attempts = parallel_module.SHARD_ATTEMPTS
+        # Attempt SHARD_ATTEMPTS + 1 would be clean: raising proves the
+        # executor stopped at exactly SHARD_ATTEMPTS.
+        plan = FaultPlan(
+            faults=tuple(FaultSpec(0, a, "kill") for a in range(1, attempts + 1))
+        )
+        executor = ParallelSearch(
+            guides, budget, workers=1, chunk_length=CHUNK, fault_plan=plan
+        )
+        with pytest.raises(EngineError, match=f"after {attempts} attempt"):
+            executor.search(genome)
+        assert clock.sleeps == []
 
 
 class TestHang:

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
+    FaultPlan,
     NaiveSearcher,
     OffTargetSearch,
     ParallelSearch,
@@ -108,23 +109,22 @@ def test_parallel_equals_oracle_bulged(
     seed=st.integers(min_value=0, max_value=10**6),
     order_seed=st.integers(min_value=0, max_value=10**6),
     chunk_choice=st.integers(min_value=0, max_value=4),
-    batch_size=st.integers(min_value=1, max_value=3),
+    workers=st.integers(min_value=1, max_value=3),
 )
 def test_merge_is_scheduling_order_independent(
-    seed, order_seed, chunk_choice, batch_size
+    seed, order_seed, chunk_choice, workers
 ):
     # Execute the shards serially in a shuffled order and merge: the
     # result must be bit-identical to the canonical execution, which is
     # exactly the guarantee that makes pool completion order irrelevant.
+    # The worker count only shapes the layout: with fewer chunks than
+    # workers the 3-guide panel is split into batches too.
     genome = random_genome(600, seed=seed, name="chrOrder")
     guides = sample_guides_from_genome(genome, 3, seed=seed + 1)
     budget = SearchBudget(mismatches=2)
+    chunk_length = _chunk_length_for(25, len(genome), chunk_choice)
     executor = ParallelSearch(
-        guides,
-        budget,
-        workers=1,
-        chunk_length=_chunk_length_for(25, len(genome), chunk_choice),
-        guide_batch_size=batch_size,
+        guides, budget, workers=workers, chunk_length=chunk_length
     )
     tasks = executor.shard_tasks(genome)
     shuffled = list(tasks)
@@ -168,19 +168,14 @@ def test_workers_exceeding_shard_count_is_invariant(text, proto, workers):
     workers=st.integers(min_value=4, max_value=10),
 )
 def test_pool_sized_to_shards_when_workers_exceed_them(seed, workers):
-    # Three single-guide batches over one chunk: exactly three shards,
-    # pooled with more workers configured than shards to fill. The
-    # result must be identical to the serial kernel regardless.
+    # One chunk with more workers than guides: three single-guide
+    # batches, so exactly three shards, pooled with more workers
+    # configured than shards to fill. The result must be identical to
+    # the serial kernel regardless.
     genome = random_genome(1200, seed=seed, name="chrWide")
     guides = sample_guides_from_genome(genome, 3, seed=seed + 1)
     budget = SearchBudget(mismatches=1)
-    executor = ParallelSearch(
-        guides,
-        budget,
-        workers=workers,
-        chunk_length=4096,
-        guide_batch_size=1,
-    )
+    executor = ParallelSearch(guides, budget, workers=workers, chunk_length=4096)
     hits, stats = executor.search_with_stats(genome)
     assert stats["num_shards"] == 3
     assert stats["num_shards"] < stats["workers"]
@@ -302,18 +297,15 @@ class TestDegradedModes:
             parallel_module, "ProcessPoolExecutor",
             lambda *a, **k: (_ for _ in ()).throw(AssertionError("pooled")),
         )
+        one_guide = guides[:1]  # one guide over one chunk -> one shard
         executor = ParallelSearch(
-            guides,
-            SearchBudget(mismatches=1),
-            workers=4,
-            chunk_length=1 << 20,  # one chunk
-            guide_batch_size=len(list(guides)),  # one batch -> one shard
+            one_guide, SearchBudget(mismatches=1), workers=4, chunk_length=1 << 20
         )
         hits, stats = executor.search_with_stats(genome)
         assert stats["num_shards"] == 1
         assert stats["pooled"] is False
         assert hit_spans(hits) == hit_spans(
-            matcher.find_hits(genome, guides, SearchBudget(mismatches=1))
+            matcher.find_hits(genome, one_guide, SearchBudget(mismatches=1))
         )
 
 
@@ -336,15 +328,13 @@ class TestExecutor:
         assert pooled.search(genome) == serial.search(genome)
 
     def test_stats_shape(self, genome, guides):
+        # 4 workers over 2 chunks: the panel is split into 2 batches.
         executor = ParallelSearch(
-            guides,
-            SearchBudget(mismatches=2),
-            workers=2,
-            chunk_length=16_000,
-            guide_batch_size=2,
+            guides, SearchBudget(mismatches=2), workers=4, chunk_length=32_000
         )
         hits, stats = executor.search_with_stats(genome)
-        assert stats["workers"] == 2
+        assert stats["workers"] == 4
+        assert stats["num_chunks"] == 2
         assert stats["num_guide_batches"] == 2
         assert stats["num_shards"] == stats["num_chunks"] * stats["num_guide_batches"]
         assert len(stats["shards"]) == stats["num_shards"]
@@ -354,10 +344,10 @@ class TestExecutor:
         assert stats["overlap"] == executor.overlap
 
     def test_guide_batches_partition_the_library(self, guides):
-        executor = ParallelSearch(
-            guides, SearchBudget(), workers=3, guide_batch_size=1
-        )
-        for num_chunks in (0, 1, 5):
+        # One chunk (or none) and at least as many workers as guides:
+        # one guide per batch.
+        executor = ParallelSearch(guides, SearchBudget(), workers=len(guides))
+        for num_chunks in (0, 1):
             batches = executor.guide_batches(num_chunks)
             assert [g for batch in batches for g in batch] == list(guides)
             assert all(len(batch) == 1 for batch in batches)
@@ -391,16 +381,17 @@ class TestExecutor:
         assert hits == expected
 
     @pytest.mark.parametrize("chunk_length", [900, 16_000, 1 << 20])
-    @pytest.mark.parametrize("guide_batch_size", [None, 1, 3])
+    @pytest.mark.parametrize("workers", [None, 1, 3])
     def test_stats_describe_the_layout_that_ran(
-        self, genome, guides, chunk_length, guide_batch_size
+        self, genome, guides, chunk_length, workers
     ):
+        # None is the default (one worker per core); 3 workers over one
+        # chunk split the 4-guide panel unevenly.
         executor = ParallelSearch(
             guides,
             SearchBudget(mismatches=1),
-            workers=1,
+            workers=workers,
             chunk_length=chunk_length,
-            guide_batch_size=guide_batch_size,
         )
         tasks = executor.shard_tasks(genome)
         _, stats = executor.search_with_stats(genome)
@@ -467,6 +458,8 @@ class TestExecutor:
     def test_in_process_run_compiles_each_batch_panel_once(
         self, genome, guides, monkeypatch
     ):
+        # 4 workers over 3 chunks give 2 guide batches; the failed pool
+        # spawn runs every shard in-process.
         compiled = []
 
         class CountingPanel(bitparallel.BitParallelPanel):
@@ -477,10 +470,16 @@ class TestExecutor:
         monkeypatch.setattr(bitparallel, "BitParallelPanel", CountingPanel)
         budget = SearchBudget(mismatches=2)
         executor = ParallelSearch(
-            guides, budget, workers=1, chunk_length=16_000, guide_batch_size=2
+            guides,
+            budget,
+            workers=4,
+            chunk_length=21_000,
+            fault_plan=FaultPlan(pool_spawn_failures=1),
         )
         hits, stats = executor.search_with_stats(genome)
-        assert stats["num_chunks"] > 1
+        assert stats["serial_fallback"] is True
+        assert stats["num_chunks"] == 3
+        assert stats["num_guide_batches"] == 2
         assert compiled == executor.guide_batches(stats["num_chunks"])
         assert hits == matcher.find_hits(genome, guides, budget)
 
@@ -493,8 +492,6 @@ class TestExecutor:
             ParallelSearch(guides, SearchBudget(), workers=2.5)
         with pytest.raises(EngineError):
             ParallelSearch(guides, SearchBudget(), chunk_length=5)
-        with pytest.raises(EngineError):
-            ParallelSearch(guides, SearchBudget(), guide_batch_size=0)
 
 
 class TestShardPool:
@@ -512,12 +509,14 @@ class TestShardPool:
         pool = ShardPool(2)
         try:
             assert pool.spawns == 0
-            # A one-shard search runs in-process and leaves the pool cold.
+            # A one-shard search (one guide over one chunk) runs
+            # in-process and leaves the pool cold.
             single = ParallelSearch(
-                guides, budget, workers=2, chunk_length=1 << 20,
-                guide_batch_size=len(guides), pool=pool,
+                guides[:1], budget, workers=2, chunk_length=1 << 20, pool=pool
             )
-            assert single.search(genome) == expected
+            assert single.search(genome) == matcher.find_hits(
+                genome, guides[:1], budget
+            )
             assert pool.spawns == 0
             for _ in range(3):
                 executor = ParallelSearch(

@@ -291,6 +291,21 @@ class TestAdmissionControl:
                 service.query_async((pool[0],), SearchBudget(), session_id="nope")
             assert service.stats()["requests"]["admitted"] == 0
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_invalid_timeout_refused_before_admission(
+        self, small_genome, pool, timeout
+    ):
+        # The timeout is the request's only deadline: a value that would
+        # expire at once or never is a bad request, not a deadline miss.
+        with make_service() as service:
+            service.add_genome("default", small_genome)
+            with pytest.raises(ServiceError, match="timeout") as excinfo:
+                service.query_async(
+                    (pool[0],), SearchBudget(), timeout_seconds=timeout
+                )
+            assert not isinstance(excinfo.value, DeadlineExceededError)
+            assert service.stats()["requests"]["admitted"] == 0
+
     def test_closed_service_refuses_queries(self, small_genome, pool):
         service = make_service()
         service.add_genome("default", small_genome)

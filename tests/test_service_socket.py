@@ -118,6 +118,28 @@ class TestWireProtocol:
                 )
             assert client.ping()  # connection survives request errors
 
+    @pytest.mark.parametrize("op", ["query", "design"])
+    def test_invalid_timeout_is_bad_request_before_admission(
+        self, live_server, genome, guides, op
+    ):
+        host, port, service = live_server
+        if op == "query":
+            payload = {"op": op, "guides": [guide_to_wire(guides[0])]}
+        else:
+            payload = {"op": op, "region": genome.text[:300]}
+        with socket.create_connection((host, port), timeout=10) as raw:
+            reader = raw.makefile("rb")
+            for timeout in (float("nan"), float("inf"), 0, -1):
+                line = json.dumps({**payload, "timeout": timeout}) + "\n"
+                raw.sendall(line.encode("ascii"))
+                response = json.loads(reader.readline())
+                assert response["ok"] is False, timeout
+                assert response["error"] == "bad_request", response
+                assert "timeout" in response["detail"]
+        # Refused while decoding: no query was admitted, and no design
+        # pipeline started (its vetting query would have been admitted).
+        assert service.stats()["requests"]["admitted"] == 0
+
     def test_overload_propagates_through_the_socket(self, genome, guides):
         # Deterministic overload: no batcher thread, queue depth 1,
         # prefilled — the socket query must be shed with the typed error.
@@ -344,6 +366,18 @@ class TestCliExitCodes:
             parked.result(timeout=1)
         finally:
             server.stop()
+
+    def test_invalid_timeout_exits_2_before_admission(
+        self, tmp_path, guides, live_server
+    ):
+        host, port, service = live_server
+        table = tmp_path / "guides.txt"
+        write_guides_table(table, guides[:1])
+        for value in ("nan", "inf", "0", "-1"):
+            completed = self.run_query_cli(table, port, f"--timeout={value}")
+            assert completed.returncode == 2, completed.stderr
+            assert "--timeout" in completed.stderr
+        assert service.stats()["requests"]["admitted"] == 0
 
     def test_connection_refused_exits_2(self, tmp_path, guides):
         table = tmp_path / "guides.txt"
