@@ -31,15 +31,15 @@ bitboard whose word ``w`` holds lanes ``[64w, 64w + 64)``. NGG keeps
 about one start in sixteen of a GC-0.41 genome; a PAM that admits
 every start (a custom ``N``) keeps them all and runs the same way.
 
-Pattern offset ``u``'s *lane code boards* — one per symbol code (A, C,
-G, T, N), bit ``i`` set when ``codes[starts[i] + u]`` carries that
-code — come from one gather, ``codes[starts + u]``. A read past the
-block end sets no bit in any of them, so it matches nothing. A pattern
-position's *match board* is the OR of the code boards its 5-bit IUPAC
-mask selects (:func:`repro.alphabet.iupac_code_mask` — so a genome
-``N`` matches only a pattern ``N``, exactly as the oracle counts it).
-Only a few boards per offset are alive at a time, so the temporaries
-stay O(lanes).
+Pattern offset ``u``'s *lane code boards* — one per base code (A, C,
+G, T), bit ``i`` set when ``codes[starts[i] + u]`` carries that code —
+come from one gather, ``codes[starts + u]``. A read past the block end
+sets no bit in any of them, so it matches nothing, and neither does a
+genome ``N``: protospacers are concrete bases, so a budgeted position's
+*match board* is the code board of its base, exactly as the oracle
+counts it (exact positions may be IUPAC; the lane filter tests their
+5-bit masks, :func:`repro.alphabet.iupac_code_mask`, straight from the
+codes).
 
 Counting uses thermometer bit-planes, one plane per mismatch-budget
 level, each stacked over the group as one ``(patterns, lane_words)``
@@ -108,12 +108,37 @@ through exactly that rule, so every chunked path stays bit-identical
 to the whole-genome scan and to the :class:`~repro.core.reference`
 oracle — the property ``tests/differential.py`` pins across the full
 engine x genome x panel x budget grid.
+
+Lane index
+----------
+A block's lanes, its per-delta PAM boards and every offset's code
+boards depend only on the block and the group's *lane layout* (length,
+exact positions and masks, and the bulge budget's delta range), never
+on the protospacers. The kernel reads them only through a
+:class:`LaneIndex`. A one-shot scan builds a throwaway one; a serving
+session keeps one for its fixed genome, so the first panel of a layout
+builds them and every later panel of that layout reuses them. A kept
+index holds at most :data:`LANE_INDEX_BYTES_PER_SYMBOL` bytes per
+symbol of each block and of its genome, evicting the least recently
+used layouts; a layout over the bound (an all-``N`` PAM keeps every
+start) is built per scan and not kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence as SequenceType, Tuple
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence as SequenceType,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -137,6 +162,22 @@ _Exact = Tuple[Tuple[int, int, bool], ...]
 
 #: The 5-bit genome-code mask of every IUPAC pattern symbol.
 _CODE_MASKS = {symbol: alphabet.iupac_code_mask(symbol) for symbol in alphabet.IUPAC}
+
+#: The masks of the four base codes, in code order: the lane code boards.
+_BASE_MASKS = np.array([1 << code for code in range(alphabet.CODE_N)], dtype=np.uint8)
+
+#: The base code of each concrete (protospacer) position's mask.
+_BASE_CODE = {int(mask): code for code, mask in enumerate(_BASE_MASKS)}
+
+#: Rows of an offset's code boards: one base code, several, or all.
+_BaseIndex = Union[int, np.ndarray, slice]
+
+#: Bytes a kept :class:`LaneIndex` may hold per symbol of a block.
+LANE_INDEX_BYTES_PER_SYMBOL = 8
+
+#: What a kept layout costs beyond its arrays (its objects and its key),
+#: so a block too short to be worth keeping keeps nothing.
+_LAYOUT_OVERHEAD_BYTES = 1024
 
 
 def find_hits(
@@ -211,16 +252,37 @@ class _LaneGroup:
     Patterns of one length whose exact positions carry the same masks
     admit exactly the same starts, so one exact-position filter serves
     the whole group. They share the budgeted run ``[b_off, b_off +
-    len(columns))`` too; ``columns[t]`` holds the distinct masks at its
-    ``t``-th position and, per pattern, the index of that pattern's mask
-    among them.
+    len(codes))`` too; ``codes[t, p]`` is the base code pattern ``p``
+    needs at the run's ``t``-th position (protospacers are concrete).
     """
 
     total: int
     b_off: int
     exact: _Exact
     indices: tuple[int, ...]  # the members' indices in the panel's pattern list
-    columns: tuple[tuple[np.ndarray, np.ndarray], ...]
+    codes: np.ndarray
+    _needs: Dict[Tuple[int, int], List[Tuple[_BaseIndex, np.ndarray]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def needs(self, rna: int, dna: int) -> List[Tuple[_BaseIndex, np.ndarray]]:
+        """Per offset ``b_off + t``, the base codes the members read there.
+
+        Under ``rna`` RNA and ``dna`` DNA bulges, steps ``t - dna`` to
+        ``t + rna`` read that offset. Each entry is ``(index, masks)``:
+        the codes (one as a plain int) and their masks.
+        """
+        needs = self._needs.get((rna, dna))
+        if needs is None:
+            columns: List[List[int]] = self.codes.tolist()
+            needs = []
+            for t in range(len(columns) + dna):
+                window = columns[max(t - dna, 0) : t + rna + 1]
+                bases = sorted({code for column in window for code in column})
+                index: _BaseIndex = bases[0] if len(bases) == 1 else np.array(bases)
+                needs.append((index, _BASE_MASKS[bases]))
+            self._needs[(rna, dna)] = needs
+        return needs
 
 
 def _lane_groups(patterns: SequenceType[_StrandPattern]) -> tuple[_LaneGroup, ...]:
@@ -229,23 +291,19 @@ def _lane_groups(patterns: SequenceType[_StrandPattern]) -> tuple[_LaneGroup, ..
     for index, pattern in enumerate(patterns):
         layout = _bulge_layout(pattern)
         members.setdefault((pattern.total, layout.exact), []).append((index, layout))
-    groups = []
-    for (total, exact), entries in members.items():
-        columns = []
-        for column in zip(*(layout.budgeted_masks for _, layout in entries)):
-            distinct = sorted(set(column))
-            inverse = [distinct.index(mask) for mask in column]
-            columns.append((np.array(distinct, dtype=np.uint8), np.array(inverse)))
-        groups.append(
-            _LaneGroup(
-                total=total,
-                b_off=entries[0][1].b_off,
-                exact=exact,
-                indices=tuple(index for index, _ in entries),
-                columns=tuple(columns),
-            )
+    return tuple(
+        _LaneGroup(
+            total=total,
+            b_off=entries[0][1].b_off,
+            exact=exact,
+            indices=tuple(index for index, _ in entries),
+            codes=np.array(
+                [[_BASE_CODE[mask] for mask in layout.budgeted_masks] for _, layout in entries],
+                dtype=np.intp,
+            ).T.copy(),
         )
-    return tuple(groups)
+        for (total, exact), entries in members.items()
+    )
 
 
 # -- bitboard primitives -------------------------------------------------------
@@ -308,10 +366,13 @@ def _exact_filter(
 
 
 class _Lanes:
-    """The starts of one block that a lane group keeps.
+    """The starts of one block that a lane layout keeps, and their boards.
 
     Lane ``i`` is start ``starts[i]`` (ascending); a lane board holds
-    lane ``i`` at bit ``i % 64`` of word ``i // 64``.
+    lane ``i`` at bit ``i % 64`` of word ``i // 64``. A layout found by
+    :func:`_find_lanes` also carries ``pam[delta]``, a bulged layout's
+    per-delta PAM board, and ``rows[k, c]``, the code board of base
+    code ``c`` at the ``k``-th offset its scan reads.
     """
 
     def __init__(self, codes: np.ndarray, starts: np.ndarray) -> None:
@@ -319,6 +380,14 @@ class _Lanes:
         self.starts = starts
         self.count = int(starts.size)
         self.nwords = (self.count + 63) // 64
+        self.pam: Dict[int, np.ndarray] = {}
+        self.rows = np.zeros((0, _BASE_MASKS.size, self.nwords), dtype=np.uint64)
+
+    @property
+    def nbytes(self) -> int:
+        """What keeping this layout in a :class:`LaneIndex` costs."""
+        pam = sum(board.nbytes for board in self.pam.values())
+        return _LAYOUT_OVERHEAD_BYTES + int(self.starts.nbytes + self.rows.nbytes + pam)
 
     def gather(self, offset: int) -> np.ndarray:
         """``codes[starts[i] + offset]`` per lane ``i``, one gather.
@@ -350,31 +419,164 @@ class _Lanes:
         np.bitwise_and(column >> gathered, 1, out=bits[..., : self.count])
         return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
+    def index_codes(self, group: _LaneGroup, budget: SearchBudget, every_base: bool) -> None:
+        """Fill ``rows`` with the code boards the scan of *group* reads.
+
+        Row ``rna + t`` holds offset ``b_off + t``'s boards, one gather
+        each (the ``rna`` lead rows serve bands whose offset falls
+        before the protospacer, which read nothing). Every base's board
+        is built when *every_base* is set, for later panels of the
+        layout; otherwise only those of the bases the group's patterns
+        need there, at steps ``t - dna`` to ``t + rna``.
+        """
+        rna, dna = budget.rna_bulges, budget.dna_bulges
+        if not self.count:
+            return
+        for t, (bases, masks) in enumerate(group.needs(rna, dna)):
+            if every_base:
+                bases, masks = slice(None), _BASE_MASKS
+            self.rows[rna + t, bases] = self.boards(self.gather(group.b_off + t), masks)
+
+
+def _find_lanes(codes: np.ndarray, group: _LaneGroup, budget: SearchBudget) -> _Lanes:
+    """The lanes of *group*'s layout in the block, and room for their boards.
+
+    ``rows`` is sized for every offset the scan reads, all zero: a
+    bulged budget's bands read offsets ``b_off - rna`` to ``b_off + m -
+    1 + dna`` of an ``m``-position protospacer, a mismatch-only budget
+    ``[b_off, b_off + m)``.
+    """
+    if budget.has_bulges:
+        lanes, pam = _bulged_lanes(codes, group, budget)
+        lanes.pam = pam
+    else:
+        valid = max(codes.size - group.total + 1, 0)
+        lanes = _Lanes(codes, np.flatnonzero(_exact_filter(codes, group.exact, valid, 0)))
+    offsets = budget.rna_bulges + group.codes.shape[0] + budget.dna_bulges
+    lanes.rows = np.zeros((offsets, _BASE_MASKS.size, lanes.nwords), dtype=np.uint64)
+    return lanes
+
+
+#: A layout's key: its block ``(sequence, offset, length)`` (``None``
+#: outside the index's genome), the group's length and exact positions,
+#: and the budget's bulges.
+_LayoutKey = Tuple[Optional[Tuple[int, int, int]], int, _Exact, int, int]
+
+
+class LaneIndex:
+    """Lanes and lane code boards, built once per (genome block, lane layout).
+
+    The kernel reads every lane and match board through an index. One
+    made with no *sequences* keeps nothing: each scan builds what it
+    reads, which is what a one-shot scan does. One made over a fixed
+    genome keeps the layouts of every block that lies inside one of its
+    *sequences* (a block is a chunk's code array, a view into the
+    sequence's codes, and is keyed by where it lies), so the first
+    panel of a layout builds its lanes and boards and every later panel
+    reuses them. Reuse is exact because a :class:`Sequence`'s codes
+    never change and the index holds the sequences, so no other block
+    can take their place.
+
+    Retained bytes are bounded by construction: a layout is kept only
+    when it costs at most :data:`LANE_INDEX_BYTES_PER_SYMBOL` bytes per
+    symbol of its block, and the least recently used layouts are
+    evicted to keep the total within that many bytes per symbol of the
+    genome. A layout over the bound (an all-``N`` PAM keeps every
+    start) is built per scan.
+    """
+
+    def __init__(self, sequences: Iterable[Sequence] = ()) -> None:
+        # Holding the sequences pins the buffers the spans address.
+        self._sequences = tuple(sequences)
+        self._spans: List[Tuple[int, int]] = []
+        for sequence in self._sequences:
+            low = sequence.codes.__array_interface__["data"][0]
+            self._spans.append((low, low + len(sequence)))
+        self._capacity = LANE_INDEX_BYTES_PER_SYMBOL * sum(map(len, self._sequences))
+        self._kept: "OrderedDict[_LayoutKey, _Lanes]" = OrderedDict()
+        self._bytes = 0
+        self._builds = 0
+        self._reuses = 0
+        self._lock = threading.Lock()
+
+    def stats(self) -> Dict[str, int]:
+        """Kept layouts and bytes, the bound, and builds and reuses so far."""
+        with self._lock:
+            return {
+                "layouts": len(self._kept),
+                "bytes": self._bytes,
+                "capacity_bytes": self._capacity,
+                "builds": self._builds,
+                "reuses": self._reuses,
+            }
+
+    def _block(self, codes: np.ndarray) -> Tuple[int, int, int] | None:
+        """Where *codes* lies in the index's sequences, or ``None``."""
+        if not self._spans or codes.dtype != np.uint8 or not codes.flags.c_contiguous:
+            return None
+        address = codes.__array_interface__["data"][0]
+        for position, (low, high) in enumerate(self._spans):
+            if low <= address and address + codes.size <= high:
+                return position, address - low, int(codes.size)
+        return None
+
+    def lanes(self, codes: np.ndarray, group: _LaneGroup, budget: SearchBudget) -> _Lanes:
+        """The lanes and boards of *group*'s layout in the block *codes*."""
+        block = self._block(codes)
+        key = (block, group.total, group.exact, budget.rna_bulges, budget.dna_bulges)
+        if block is not None:
+            with self._lock:
+                kept = self._kept.get(key)
+                if kept is not None:
+                    self._kept.move_to_end(key)
+                    self._reuses += 1
+                    return kept
+                self._builds += 1
+        lanes = _find_lanes(codes, group, budget)
+        keep = block is not None and lanes.nbytes <= LANE_INDEX_BYTES_PER_SYMBOL * codes.size
+        lanes.index_codes(group, budget, every_base=keep)
+        if keep:
+            with self._lock:
+                # A concurrent scan may have kept the same layout first.
+                previous = self._kept.pop(key, None)
+                self._bytes += lanes.nbytes - (previous.nbytes if previous else 0)
+                self._kept[key] = lanes
+                while self._bytes > self._capacity:
+                    _, evicted = self._kept.popitem(last=False)
+                    self._bytes -= evicted.nbytes
+        return lanes
+
 
 # -- the mismatch-only scan ----------------------------------------------------
 
 
 def _thermometer(
-    codes: np.ndarray, group: _LaneGroup, max_mismatches: int
+    codes: np.ndarray,
+    group: _LaneGroup,
+    budget: SearchBudget,
+    index: LaneIndex | None = None,
 ) -> tuple[_Lanes, np.ndarray, np.ndarray]:
     """``(lanes, hit, ge)`` of every pattern of *group* in the block.
 
     ``hit[p]`` is pattern ``p``'s lane board of hits; ``ge[j, p]`` its
-    thermometer plane of at least ``j + 1`` mismatches.
+    thermometer plane of at least ``j + 1`` mismatches. The lanes come
+    from *index*, or a throwaway one.
     """
-    valid = max(codes.size - group.total + 1, 0)
-    lanes = _Lanes(codes, np.flatnonzero(_exact_filter(codes, group.exact, valid, 0)))
+    k = budget.mismatches
+    lanes = (LaneIndex() if index is None else index).lanes(codes, group, budget)
     shape = (len(group.indices), lanes.nwords)
     exceed = np.zeros(shape, dtype=np.uint64)
-    ge = np.zeros((max_mismatches,) + shape, dtype=np.uint64)
+    ge = np.zeros((k,) + shape, dtype=np.uint64)
     if lanes.count:
-        for t, (masks, inverse) in enumerate(group.columns):
-            miss = ~lanes.boards(lanes.gather(group.b_off + t), masks)[inverse]
-            if max_mismatches == 0:
+        # Row t holds offset b_off + t's code boards; each pattern's
+        # match board there is the board of the base it needs.
+        for rows, needed in zip(lanes.rows, group.codes):
+            miss = ~rows[needed]
+            if k == 0:
                 exceed |= miss
                 continue
-            exceed |= ge[max_mismatches - 1] & miss
-            for j in range(max_mismatches - 1, 0, -1):
+            exceed |= ge[k - 1] & miss
+            for j in range(k - 1, 0, -1):
                 ge[j] |= ge[j - 1] & miss
             ge[0] |= miss
     return lanes, ~exceed & _prefix_mask(lanes.nwords, lanes.count), ge
@@ -437,30 +639,22 @@ def _bulged_reach(lanes: _Lanes, group: _LaneGroup, budget: SearchBudget) -> np.
     :func:`repro.core.bulge._build_grid`, one lane board per state row.
     """
     rna, dna, mm = budget.rna_bulges, budget.dna_bulges, budget.mismatches
-    m = len(group.columns)
+    m = group.codes.shape[0]
     reach = np.zeros(
         (len(group.indices), rna + 1, dna + 1, mm + 1, lanes.nwords), dtype=np.uint64
     )
     reach[:, 0, 0, 0] = _ALL_ONES
-    # Gather index: cell (r, d) reads the board of its band d - r
-    # (offset by +rna into the stacked board array).
+    # Cell (r, d) reads the board of its band d - r, window row d - r + rna.
     band_index = (np.arange(dna + 1)[None, :] - np.arange(rna + 1)[:, None]) + rna
-    # Row rna + band holds the codes band reads at the current step, at
-    # offset b_off + i + band. Each offset is gathered once, as the
-    # window slides one offset per step; a band whose offset falls
-    # before the protospacer (i + band < 0) reads _PAST_END, which
-    # matches nothing.
-    window = np.full((rna + dna + 1, lanes.count), _PAST_END, dtype=np.uint8)
-    for band in range(dna + 1):
-        window[rna + band] = lanes.gather(group.b_off + band)
-    for i, (masks, inverse) in enumerate(group.columns):
-        if i:
-            window[:-1] = window[1:]
-            window[-1] = lanes.gather(group.b_off + i + dna)
+    for i, needed in enumerate(group.codes):
         if dna and 1 <= i <= m - 1:
             _band_transfer(reach)
-        boards = lanes.boards(window, masks)[inverse]
-        aligned = boards[:, band_index][:, :, :, None, :]
+        # Window row rna + band holds the code boards of offset b_off +
+        # i + band (all zero where i + band < 0, before the
+        # protospacer); pattern p's match board in a cell is the board
+        # of the base it needs there.
+        window = lanes.rows[i : i + rna + dna + 1]
+        aligned = window[band_index[None], needed[:, None, None]][:, :, :, None, :]
         nxt = reach & aligned
         if mm:
             nxt[:, :, :, 1:] |= reach[:, :, :, :mm] & ~aligned
@@ -471,17 +665,21 @@ def _bulged_reach(lanes: _Lanes, group: _LaneGroup, budget: SearchBudget) -> np.
 
 
 def _bulged_accept_boards(
-    codes: np.ndarray, group: _LaneGroup, budget: SearchBudget
+    codes: np.ndarray,
+    group: _LaneGroup,
+    budget: SearchBudget,
+    index: LaneIndex | None = None,
 ) -> tuple[_Lanes, List[Dict[Tuple[int, int, int], np.ndarray]]]:
     """The group's lanes, and per pattern its accepted-lane boards per
     exact ``(mismatches, rna, dna)`` profile.
 
     Each final reach plane is masked by its delta's lane board from
     :func:`_bulged_lanes` (PAM match and bounds). Empty boards are
-    dropped.
+    dropped. The lanes come from *index*, or a throwaway one.
     """
     rna, dna, mm = budget.rna_bulges, budget.dna_bulges, budget.mismatches
-    lanes, pam = _bulged_lanes(codes, group, budget)
+    lanes = (LaneIndex() if index is None else index).lanes(codes, group, budget)
+    pam = lanes.pam
     if lanes.count == 0:
         return lanes, [{} for _ in group.indices]
     reach = _bulged_reach(lanes, group, budget)
@@ -541,10 +739,10 @@ class BitParallelPanel:
 
     Compile once (pattern masks for every guide x strand, sorted into
     lane groups), then call :meth:`find_hits` per genome block: each
-    group filters the block's starts by its PAM once and counts
-    mismatches only on the lanes that pass, in a handful of dense
-    vector passes stacked over the group's patterns. Bulged budgets
-    run the banded engine natively.
+    group takes the block's lanes (the starts its PAM admits) and their
+    code boards from a :class:`LaneIndex` and counts mismatches only on
+    those lanes, in a handful of dense vector passes stacked over the
+    group's patterns. Bulged budgets run the banded engine natively.
     """
 
     def __init__(self, guides: Iterable[Guide], budget: SearchBudget) -> None:
@@ -568,26 +766,26 @@ class BitParallelPanel:
         return len(self._patterns)
 
     def _accepted(
-        self, codes: np.ndarray
+        self, codes: np.ndarray, lane_index: LaneIndex
     ) -> Iterator[Tuple[int, _Lanes, Dict[Tuple[int, int, int], np.ndarray]]]:
         """``(pattern index, lanes, accept boards)`` of every bulged pattern."""
         for group in self._groups:
-            lanes, accepted = _bulged_accept_boards(codes, group, self._budget)
+            lanes, accepted = _bulged_accept_boards(codes, group, self._budget, lane_index)
             for index, boards in zip(group.indices, accepted):
                 yield index, lanes, boards
 
     def _rows(
-        self, codes: np.ndarray
+        self, codes: np.ndarray, lane_index: LaneIndex
     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, int, int]]:
         """Hit rows ``(pattern index, starts, mismatches, rna, dna)`` of one block."""
         if self._budget.has_bulges:
-            for index, lanes, accepted in self._accepted(codes):
+            for index, lanes, accepted in self._accepted(codes, lane_index):
                 for lane_indices, j, r, d in _best_profiles(accepted, self._budget):
                     starts = lanes.starts[lane_indices]
                     yield index, starts, np.full(starts.size, j), r, d
             return
         for group in self._groups:
-            lanes, hit, ge = _thermometer(codes, group, self._budget.mismatches)
+            lanes, hit, ge = _thermometer(codes, group, self._budget, lane_index)
             per_pattern = lanes.nwords * 64
             positions = _board_starts(hit.ravel())
             counts = np.zeros(positions.size, dtype=np.int64)
@@ -603,13 +801,21 @@ class BitParallelPanel:
                     lane_indices = positions[run] - row * per_pattern
                     yield index, lanes.starts[lane_indices], counts[run], 0, 0
 
-    def find_hits(self, genome: Sequence) -> list[OffTargetHit]:
-        """All hits of the panel in *genome*, canonically deduped + sorted."""
+    def find_hits(
+        self, genome: Sequence, lane_index: LaneIndex | None = None
+    ) -> list[OffTargetHit]:
+        """All hits of the panel in *genome*, canonically deduped + sorted.
+
+        Lanes and code boards come from *lane_index* (a session's,
+        which keeps them across panels) or from a throwaway index.
+        """
         if len(genome) == 0:
             return []
+        if lane_index is None:
+            lane_index = LaneIndex()
         codes = genome.codes
         hits: list[OffTargetHit] = []
-        for index, starts, mismatches, rna, dna in self._rows(codes):
+        for index, starts, mismatches, rna, dna in self._rows(codes, lane_index):
             pattern = self._patterns[index]
             length = pattern.total + dna - rna
             reverse = pattern.strand == "-"
@@ -641,14 +847,15 @@ class BitParallelPanel:
         if len(genome) == 0:
             return 0
         codes = genome.codes
+        lane_index = LaneIndex()
         if self._budget.has_bulges:
             return sum(
                 _popcount(board)
-                for _, _, accepted in self._accepted(codes)
+                for _, _, accepted in self._accepted(codes, lane_index)
                 for board in accepted.values()
             )
         return sum(
-            _popcount(_thermometer(codes, group, self._budget.mismatches)[1])
+            _popcount(_thermometer(codes, group, self._budget, lane_index)[1])
             for group in self._groups
         )
 

@@ -11,7 +11,7 @@ one network, streamed once, reporting for every guide simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -81,12 +81,24 @@ def _compile_strand(guide: Guide, budget: SearchBudget, *, strand: str) -> Nfa:
 
 @dataclass(frozen=True)
 class CompiledGuide:
-    """One guide's pair of strand automata plus derived machine forms."""
+    """One guide's pair of strand automata plus derived machine forms.
+
+    Every automaton is built on first access and kept: the bit-parallel
+    kernel never runs them, so a guide only searched pays for none.
+    """
 
     guide: Guide
     budget: SearchBudget
-    forward: Nfa = field(repr=False)
-    reverse: Nfa = field(repr=False)
+
+    @cached_property
+    def forward(self) -> Nfa:
+        """The + strand automaton."""
+        return _compile_strand(self.guide, self.budget, strand="+")
+
+    @cached_property
+    def reverse(self) -> Nfa:
+        """The - strand automaton."""
+        return _compile_strand(self.guide, self.budget, strand="-")
 
     @cached_property
     def combined(self) -> Nfa:
@@ -146,13 +158,8 @@ class CompiledLibrary:
 
 
 def compile_guide(guide: Guide, budget: SearchBudget) -> CompiledGuide:
-    """Compile one guide into its strand-pair automaton."""
-    return CompiledGuide(
-        guide=guide,
-        budget=budget,
-        forward=_compile_strand(guide, budget, strand="+"),
-        reverse=_compile_strand(guide, budget, strand="-"),
-    )
+    """Compile one guide into its strand-pair automaton (built on first access)."""
+    return CompiledGuide(guide=guide, budget=budget)
 
 
 def compile_library(library: GuideLibrary, budget: SearchBudget) -> CompiledLibrary:

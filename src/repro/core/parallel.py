@@ -27,11 +27,15 @@ the :class:`SearchBudget` — never automaton objects. A pool worker
 compiles each shard's :class:`~repro.core.bitparallel.BitParallelPanel`
 itself; the in-process path compiles each guide batch's panel once per
 run and scans every chunk with it. :func:`_search_shard` scans one
-shard on both paths. The parent merges shard results in shard order and
-canonically dedupes, so the final hit list is **bit-identical** to the
-whole-genome kernel regardless of worker count, chunk size, or
-scheduling order — the property the differential test suite pins
-against the :class:`~repro.core.reference.NaiveSearcher` oracle.
+shard on both paths. In-process shards read their lanes through the
+caller's :class:`~repro.core.bitparallel.LaneIndex` when it passes one
+(a serving session keeps one for its genome); pool workers build a
+throwaway index per shard and keep nothing. The parent merges shard
+results in shard order and canonically dedupes, so the final hit list
+is **bit-identical** to the whole-genome kernel regardless of worker
+count, chunk size, or scheduling order — the property the
+differential test suite pins against the
+:class:`~repro.core.reference.NaiveSearcher` oracle.
 
 Pooled shards run on a :class:`ShardPool`, the one owner of a
 :class:`ProcessPoolExecutor`. It forks its workers on the first pooled
@@ -238,18 +242,22 @@ class ShardResult:
 
 
 def _search_shard(
-    task: ShardTask, panel: bitparallel.BitParallelPanel | None = None
+    task: ShardTask,
+    panel: bitparallel.BitParallelPanel | None = None,
+    lane_index: bitparallel.LaneIndex | None = None,
 ) -> ShardResult:
     """Scan one shard: the routine pool workers and the in-process path share.
 
     Pool workers pass no *panel* and compile their own; the in-process
-    path passes the one it compiled for the shard's guide batch.
+    path passes the one it compiled for the shard's guide batch, and
+    the caller's *lane_index*, if any.
     """
     started = time.perf_counter()
     if panel is None:
         panel = bitparallel.BitParallelPanel(task.guides, task.budget)
     hits: list[OffTargetHit] = []
-    for hit in panel.find_hits(Sequence(task.sequence_name, task.codes)):
+    chunk = Sequence(task.sequence_name, task.codes)
+    for hit in panel.find_hits(chunk, lane_index):
         # A hit wholly inside the overlapped prefix was already
         # reported by the previous chunk's shard.
         if task.chunk_overlap and hit.end <= task.chunk_overlap:
@@ -279,15 +287,17 @@ def _corrupted(result: ShardResult) -> ShardResult:
 def _run_shard(
     payload: tuple[ShardTask, str | None, float, int],
     panel: bitparallel.BitParallelPanel | None = None,
+    lane_index: bitparallel.LaneIndex | None = None,
 ) -> ShardResult:
     """Worker entry point with fault injection (top-level, picklable).
 
     *payload* is ``(task, fault_kind, hang_seconds, parent_pid)``;
-    *panel* is passed through to :func:`_search_shard`. A ``kill``
-    fault exits the worker process abruptly (raising instead when
-    running inside the parent, so in-process execution stays alive); a
-    ``hang`` fault stalls before computing; ``corrupt`` computes
-    honestly and then mangles the payload.
+    *panel* and *lane_index* are passed through to
+    :func:`_search_shard`. A ``kill`` fault exits the worker process
+    abruptly (raising instead when running inside the parent, so
+    in-process execution stays alive); a ``hang`` fault stalls before
+    computing; ``corrupt`` computes honestly and then mangles the
+    payload.
     """
     task, fault, hang_seconds, parent_pid = payload
     if fault == "hang":
@@ -296,7 +306,7 @@ def _run_shard(
         if os.getpid() != parent_pid:
             os._exit(1)
         raise ShardError(f"injected kill of shard {task.shard_id}", kind="kill")
-    result = _search_shard(task, panel)
+    result = _search_shard(task, panel, lane_index)
     if fault == "corrupt":
         return _corrupted(result)
     return result
@@ -459,6 +469,12 @@ class ParallelSearch:
         makes a private ``ShardPool(workers)`` for the length of one
         ``search`` or ``search_many`` call; a caller that searches
         repeatedly passes its own, so the workers are forked once.
+    lane_index:
+        The :class:`~repro.core.bitparallel.LaneIndex` in-process shards
+        read their lanes through. ``None`` (default) builds a throwaway
+        one per shard; a caller that searches one fixed genome
+        repeatedly passes an index over it, so each chunk's lanes are
+        found once. Pool workers never use it.
     """
 
     def __init__(
@@ -471,6 +487,7 @@ class ParallelSearch:
         shard_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
         pool: ShardPool | None = None,
+        lane_index: bitparallel.LaneIndex | None = None,
     ) -> None:
         guide_list = list(guides)
         if not guide_list:
@@ -500,6 +517,9 @@ class ParallelSearch:
         if pool is not None and not isinstance(pool, ShardPool):
             raise EngineError(f"pool must be a ShardPool, got {pool!r}")
         self._pool = pool
+        if lane_index is not None and not isinstance(lane_index, bitparallel.LaneIndex):
+            raise EngineError(f"lane_index must be a LaneIndex, got {lane_index!r}")
+        self._lane_index = lane_index
 
     # -- introspection -----------------------------------------------------
 
@@ -624,7 +644,9 @@ class ParallelSearch:
                             f"injected hang of shard {state.task.shard_id} "
                             f"(attempt {attempt}, in-process)"
                         )
-                result = _run_shard((state.task, fault, 0.0, parent_pid), panel)
+                result = _run_shard(
+                    (state.task, fault, 0.0, parent_pid), panel, self._lane_index
+                )
                 defect = validate_shard_result(state.task, result)
                 if defect:
                     raise ShardError(

@@ -38,6 +38,15 @@ class Sequence:
 
     def __post_init__(self) -> None:
         codes = np.ascontiguousarray(self.codes, dtype=np.uint8)
+        # A view shares its owner's memory: when that owner is writable,
+        # keep a copy so no later write to it can change the sequence.
+        # An array that owns its memory is frozen in place, and a view
+        # of a read-only owner (a chunk of another sequence) is kept.
+        owner = codes
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if codes.base is not None and owner.flags.writeable:
+            codes = codes.copy()
         if codes.ndim != 1:
             raise AlphabetError("sequence codes must be one-dimensional")
         if codes.size and int(codes.max()) >= alphabet.NUM_CODES:

@@ -15,7 +15,10 @@ runs forms the next one, so a batch's size follows the load with no
 timer to tune. With ``workers > 1`` every pass runs on one
 :class:`~repro.core.parallel.ShardPool` that the scheduler keeps for
 its lifetime, so the shard workers are forked once, on the first
-pooled pass, rather than once per request.
+pooled pass, rather than once per request. Shards scanned in-process
+read their lanes through the session's
+:class:`~repro.core.bitparallel.LaneIndex`, so each chunk's PAM lanes
+are found once per session rather than once per request.
 
 Why demultiplexing is exact
 ---------------------------
@@ -361,6 +364,7 @@ class RequestScheduler:
                 workers=self._workers,
                 chunk_length=self._chunk_length,
                 pool=self._pool,
+                lane_index=session.lanes,
             )
             self._metrics.incr("service.genome_passes")
             self._metrics.incr("service.pass_guides", len(pass_guides))

@@ -7,15 +7,24 @@ seconds at genome scale, so a reference is registered once as a
 re-shipping or re-reading the reference. This mirrors how the paper's
 platforms hold the symbol stream constant while swapping automata in
 and out.
+
+Each session also owns a :class:`~repro.core.bitparallel.LaneIndex`
+over its sequences: the PAM lanes and lane code boards of every chunk
+the kernel scans in-process depend only on the genome and the PAM
+layout, so the first panel of a layout builds them and later panels
+reuse them. The index is empty until then, holds at most
+:data:`~repro.core.bitparallel.LANE_INDEX_BYTES_PER_SYMBOL` bytes per
+base, and dies with its session.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
 
+from ..core.bitparallel import LaneIndex
 from ..errors import ServiceError
 from ..genome.fasta import read_fasta
 from ..genome.sequence import Sequence
@@ -24,17 +33,23 @@ from ..obs import Metrics
 
 @dataclass(frozen=True)
 class GenomeSession:
-    """One loaded reference: an id, its sequences, and provenance."""
+    """One loaded reference: an id, its sequences, and provenance.
+
+    ``lanes`` is the session's lane index, which in-process scans of
+    these sequences read their lanes through.
+    """
 
     session_id: str
     sequences: tuple[Sequence, ...]
     source: str = "<memory>"
+    lanes: LaneIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.session_id:
             raise ServiceError("session id must be non-empty")
         if not self.sequences:
             raise ServiceError(f"session {self.session_id!r} has no sequences")
+        object.__setattr__(self, "lanes", LaneIndex(self.sequences))
 
     @property
     def total_length(self) -> int:
@@ -48,6 +63,7 @@ class GenomeSession:
             "source": self.source,
             "sequences": [sequence.name for sequence in self.sequences],
             "total_length": self.total_length,
+            "lane_index": self.lanes.stats(),
         }
 
 
@@ -125,7 +141,7 @@ class SessionRegistry:
             return session
 
     def remove(self, session_id: str) -> None:
-        """Drop a session (its sequences become collectable)."""
+        """Drop a session (its sequences and lane index become collectable)."""
         with self._lock:
             if self._sessions.pop(session_id, None) is None:
                 raise ServiceError(f"unknown session {session_id!r}")

@@ -18,6 +18,23 @@ class TestSequence:
         with pytest.raises(ValueError):
             seq.codes[0] = 2
 
+    def test_view_of_a_writable_array_is_immutable(self):
+        # A write to the owning array must not reach the sequence (the
+        # lane index's reuse is exact only because codes never change).
+        base = np.zeros(10, dtype=np.uint8)
+        seq = Sequence("x", base[2:8])
+        base[3] = 2
+        assert seq.text == "AAAAAA"
+        assert not np.shares_memory(seq.codes, base)
+
+    def test_owned_and_immutable_codes_stay_zero_copy(self):
+        codes = np.array([0, 1, 2, 3], dtype=np.uint8)
+        whole = Sequence("s", codes)
+        assert whole.codes is codes and not codes.flags.writeable
+        chunk = Sequence("s", whole.codes[1:3])
+        assert np.shares_memory(chunk.codes, whole.codes)
+        assert chunk.text == "CG"
+
     def test_rejects_bad_codes(self):
         with pytest.raises(AlphabetError):
             Sequence("s", np.array([0, 9], dtype=np.uint8))

@@ -10,6 +10,7 @@ become — must return hits bit-identical to a cold solo
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +26,12 @@ from repro import (
     sample_guides_from_genome,
 )
 from repro.check import check_guide_cache
+from repro.core import compiler
+from repro.core.compiler import compile_guide
 from repro.errors import ServiceError
+from repro.platforms.spec import ApSpec
 from repro.service import CompiledGuideCache, cache_key, canonical_name
+from repro.service.scheduler import split_into_passes
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +84,65 @@ class TestCacheKeying:
         assert first is second
         assert len(cache) == 1
         assert cache.stats()["hits"] == 1
+
+
+class TestLazyAutomata:
+    """Strand NFAs are built only when something reads them."""
+
+    @pytest.fixture
+    def strand_builds(self, monkeypatch):
+        built: list[str] = []
+        original = compiler._compile_strand
+
+        def counting(guide, budget, *, strand):
+            built.append(strand)
+            return original(guide, budget, strand=strand)
+
+        monkeypatch.setattr(compiler, "_compile_strand", counting)
+        return built
+
+    def test_served_query_builds_no_strand_nfa(self, genome, guides, strand_builds):
+        expected = [OffTargetSearch(guides, budget).run(genome).hits for budget in BUDGETS]
+        strand_builds.clear()  # the solo runs compile their library
+        with OffTargetService(background=False) as service:
+            service.add_genome("default", genome)
+            for budget, hits in zip(BUDGETS, expected):
+                assert service.query(guides, budget).hits == hits
+            entries = [entry for _, entry in service.cache.items()]
+        assert strand_builds == []
+        assert entries and not any(
+            "forward" in entry.__dict__ or "reverse" in entry.__dict__ for entry in entries
+        )
+
+    def test_capacity_planning_builds_them_and_keeps_its_passes(self, guides, strand_builds):
+        budget = BUDGETS[1]
+        per_guide = compile_guide(guides[0], budget).num_stes
+        assert strand_builds == ["+", "-"]
+        spec = ApSpec(
+            stes_per_chip=2 * per_guide + 1, chips_per_rank=1, ranks=1, routable_fraction=1.0
+        )
+        lazy = [compile_guide(guide, budget) for guide in guides]
+        eager = [compile_guide(guide, budget) for guide in guides]
+        for compiled in eager:
+            compiled.forward, compiled.reverse
+        lazy_passes, lazy_unplaceable = split_into_passes(lazy, spec)
+        eager_passes, eager_unplaceable = split_into_passes(eager, spec)
+        names = lambda passes: [[c.guide.name for c in group] for group in passes]  # noqa: E731
+        assert names(lazy_passes) == names(eager_passes) and len(lazy_passes) > 1
+        assert lazy_unplaceable == eager_unplaceable == []
+        assert all("forward" in compiled.__dict__ for compiled in lazy)
+
+    def test_export_adopt_round_trip_builds_on_first_access(self, guides):
+        budget = BUDGETS[2]
+        source, target = CompiledGuideCache(4), CompiledGuideCache(4)
+        exported = source.peek(guides[0], budget) or source.get(guides[0], budget)
+        adopted = pickle.loads(pickle.dumps(exported))
+        assert "forward" not in adopted.__dict__
+        target.adopt(adopted)
+        assert target.peek(guides[0], budget) is adopted
+        fresh = compile_guide(adopted.guide, budget)
+        assert adopted.forward.num_states == fresh.forward.num_states
+        assert adopted.num_stes == fresh.num_stes
 
 
 class TestLruSemantics:
