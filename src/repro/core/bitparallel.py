@@ -15,12 +15,17 @@ baselines.
 
 Bit-plane layout
 ----------------
-The panel's strand patterns (protospacer + PAM segments, already
-oriented by :func:`repro.core.compiler._segments`) fall into *lane
+Every guide gives two strand patterns, each a protospacer run and PAM
+positions placed in the + strand site window by
+:func:`repro.core.compiler.site_offsets`. They fall into *lane
 groups*: patterns of one length whose exact (PAM) positions sit at the
 same offsets with the same masks. That is one group per PAM layout and
 strand, whatever the protospacers, and a group's patterns share their
-budgeted positions by construction.
+budgeted positions by construction. Compiling a panel is array work:
+the guides of one (PAM, length) bucket are encoded as one ``(guides,
+length)`` code array, the − strand's is ``3 - codes[:, ::-1]``, and
+each strand's layout (PAM offsets and masks, ``b_off``) is worked out
+once per bucket.
 
 In each genome block of ``n`` symbols, a group tests its exact
 positions once, straight from the codes (for a bulged budget, the
@@ -147,7 +152,8 @@ from ..errors import EngineError
 from ..genome.sequence import Sequence
 from ..grna.guide import Guide
 from ..grna.hit import OffTargetHit, dedupe_hits
-from .compiler import SearchBudget, _segments
+from ..grna.pam import Pam
+from .compiler import STRANDS, SearchBudget, site_offsets
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -165,9 +171,6 @@ _CODE_MASKS = {symbol: alphabet.iupac_code_mask(symbol) for symbol in alphabet.I
 
 #: The masks of the four base codes, in code order: the lane code boards.
 _BASE_MASKS = np.array([1 << code for code in range(alphabet.CODE_N)], dtype=np.uint8)
-
-#: The base code of each concrete (protospacer) position's mask.
-_BASE_CODE = {int(mask): code for code, mask in enumerate(_BASE_MASKS)}
 
 #: Rows of an offset's code boards: one base code, several, or all.
 _BaseIndex = Union[int, np.ndarray, slice]
@@ -190,59 +193,25 @@ def find_hits(
 # -- pattern compilation -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _StrandPattern:
-    """One guide strand flattened into per-position IUPAC code masks."""
-
-    guide: Guide
-    strand: str
-    masks: tuple[int, ...]  # 5-bit genome-code mask per pattern position
-    budgeted: tuple[bool, ...]  # does this position spend the mismatch budget?
-
-    @property
-    def total(self) -> int:
-        return len(self.masks)
+#: One strand pattern of a panel: its guide, strand and length.
+_Pattern = Tuple[Guide, str, int]
 
 
-def _compile_strand(guide: Guide, strand: str) -> _StrandPattern:
-    masks: list[int] = []
-    budgeted: list[bool] = []
-    for segment in _segments(guide, reverse=strand == "-"):
-        masks.extend(_CODE_MASKS[symbol] for symbol in segment.text)
-        budgeted.extend([segment.budgeted] * len(segment.text))
-    return _StrandPattern(
-        guide=guide, strand=strand, masks=tuple(masks), budgeted=tuple(budgeted)
-    )
+def _strand_layout(pam: Pam, strand: str, guide_length: int) -> Tuple[int, _Exact]:
+    """``(b_off, exact)`` of a *guide_length*-nt guide's *strand* pattern.
 
-
-@dataclass(frozen=True)
-class _BulgeLayout:
-    """One strand pattern split into its budgeted run and exact positions.
-
-    ``_segments`` guarantees exactly one budgeted segment (the
-    protospacer), so the budgeted positions form one contiguous run at
-    offset ``b_off``; exact (PAM) positions after that run shift with
-    a bulged site's length delta, positions before it do not. The
-    pattern's length and exact positions key its lane group.
+    The protospacer is the one budgeted run, at ``b_off``; the PAM's
+    positions are exact, with the masks of the PAM as the + strand
+    reads it, and shift with a bulged site's length delta when they
+    trail the run.
     """
-
-    b_off: int  # pattern offset of the budgeted run
-    budgeted_masks: tuple[int, ...]
-    exact: _Exact
-
-
-def _bulge_layout(pattern: _StrandPattern) -> _BulgeLayout:
-    b_off = pattern.budgeted.index(True)
-    budgeted_masks: list[int] = []
-    exact: list[tuple[int, int, bool]] = []
-    for offset, (mask, is_budgeted) in enumerate(zip(pattern.masks, pattern.budgeted)):
-        if is_budgeted:
-            budgeted_masks.append(mask)
-        else:
-            exact.append((offset, mask, offset > b_off))
-    return _BulgeLayout(
-        b_off=b_off, budgeted_masks=tuple(budgeted_masks), exact=tuple(exact)
+    pam_offset, b_off = site_offsets(pam.side, strand, guide_length, len(pam))
+    pattern = pam.pattern if strand == "+" else pam.reverse_complement_pattern()
+    exact = tuple(
+        (pam_offset + i, _CODE_MASKS[symbol], pam_offset > b_off)
+        for i, symbol in enumerate(pattern)
     )
+    return b_off, exact
 
 
 @dataclass(frozen=True)
@@ -285,25 +254,52 @@ class _LaneGroup:
         return needs
 
 
-def _lane_groups(patterns: SequenceType[_StrandPattern]) -> tuple[_LaneGroup, ...]:
-    """Sort *patterns* into lane groups, keyed by length and exact positions."""
-    members: Dict[Tuple[int, _Exact], List[Tuple[int, _BulgeLayout]]] = {}
-    for index, pattern in enumerate(patterns):
-        layout = _bulge_layout(pattern)
-        members.setdefault((pattern.total, layout.exact), []).append((index, layout))
-    return tuple(
-        _LaneGroup(
-            total=total,
-            b_off=entries[0][1].b_off,
-            exact=exact,
-            indices=tuple(index for index, _ in entries),
-            codes=np.array(
-                [[_BASE_CODE[mask] for mask in layout.budgeted_masks] for _, layout in entries],
-                dtype=np.intp,
-            ).T.copy(),
+def _compile_panel(
+    guides: SequenceType[Guide],
+) -> Tuple[Tuple[_Pattern, ...], Tuple[_LaneGroup, ...]]:
+    """The strand patterns of *guides* and their lane groups.
+
+    Pattern ``2g + s`` is guide ``g`` on strand ``STRANDS[s]``. Guides
+    of one (PAM, length) bucket are encoded together, one strand at a
+    time, and the buckets whose layouts coincide (a 5' ``CCN`` PAM's +
+    strand and an NGG's − strand) share a group. Groups come in order
+    of their first pattern, members in pattern order.
+    """
+    buckets: Dict[Tuple[str, str, int], List[int]] = {}
+    for position, guide in enumerate(guides):
+        key = (guide.pam.pattern, guide.pam.side, len(guide.protospacer))
+        buckets.setdefault(key, []).append(position)
+    members: Dict[Tuple[int, _Exact], List[Tuple[int, np.ndarray, np.ndarray]]] = {}
+    for (_, _, length), positions in buckets.items():
+        pam = guides[positions[0]].pam
+        text = "".join(guides[position].protospacer for position in positions)
+        forward = alphabet.encode(text).reshape(len(positions), length)
+        for s, strand in enumerate(STRANDS):
+            b_off, exact = _strand_layout(pam, strand, length)
+            codes = forward if strand == "+" else 3 - forward[:, ::-1]
+            indices = 2 * np.array(positions) + s
+            members.setdefault((length + len(pam), exact), []).append(
+                (b_off, indices, codes)
+            )
+    groups: List[_LaneGroup] = []
+    for (total, exact), parts in members.items():
+        indices = np.concatenate([part[1] for part in parts])
+        order = np.argsort(indices, kind="stable")
+        codes = np.concatenate([part[2] for part in parts])[order]
+        groups.append(
+            _LaneGroup(
+                total=total,
+                b_off=parts[0][0],
+                exact=exact,
+                indices=tuple(indices[order].tolist()),
+                codes=np.ascontiguousarray(codes.T, dtype=np.intp),
+            )
         )
-        for (total, exact), entries in members.items()
+    groups.sort(key=lambda group: group.indices[0])
+    patterns = tuple(
+        (guide, strand, guide.site_length) for guide in guides for strand in STRANDS
     )
+    return patterns, tuple(groups)
 
 
 # -- bitboard primitives -------------------------------------------------------
@@ -750,12 +746,7 @@ class BitParallelPanel:
         if not guide_list:
             raise EngineError("bit-parallel kernel needs at least one guide")
         self._budget = budget
-        self._patterns: tuple[_StrandPattern, ...] = tuple(
-            _compile_strand(guide, strand)
-            for guide in guide_list
-            for strand in ("+", "-")
-        )
-        self._groups = _lane_groups(self._patterns)
+        self._patterns, self._groups = _compile_panel(guide_list)
 
     @property
     def budget(self) -> SearchBudget:
@@ -816,16 +807,16 @@ class BitParallelPanel:
         codes = genome.codes
         hits: list[OffTargetHit] = []
         for index, starts, mismatches, rna, dna in self._rows(codes, lane_index):
-            pattern = self._patterns[index]
-            length = pattern.total + dna - rna
-            reverse = pattern.strand == "-"
+            guide, strand, total = self._patterns[index]
+            length = total + dna - rna
+            reverse = strand == "-"
             sites = _sites(codes, starts, length)
             for start, count, site in zip(starts.tolist(), mismatches.tolist(), sites):
                 hits.append(
                     OffTargetHit(
-                        guide_name=pattern.guide.name,
+                        guide_name=guide.name,
                         sequence_name=genome.name,
-                        strand=pattern.strand,
+                        strand=strand,
                         start=start,
                         end=start + length,
                         mismatches=count,

@@ -48,20 +48,46 @@ class SearchBudget:
         return BulgeBudget(rna=self.rna_bulges, dna=self.dna_bulges)
 
 
+#: The strands every guide is searched on, in pattern order.
+STRANDS = ("+", "-")
+
+
+def site_offsets(
+    side: str, strand: str, guide_length: int, pam_length: int
+) -> tuple[int, int]:
+    """``(PAM, protospacer)`` offsets in a site's + strand window.
+
+    The one definition of strand geometry; pattern segments, the
+    kernel's lane layouts and design enumeration all read it. The
+    window is ``guide_length + pam_length`` symbols and reads:
+
+    * 3' PAM, + strand: ``protospacer + PAM``;
+    * 3' PAM, − strand: ``revcomp(PAM) + revcomp(protospacer)`` — the
+      − strand site reads ``protospacer + PAM`` 5'→3', so the PAM sits
+      at the *start* of the + strand window;
+    * 5' PAM, + strand: ``PAM + protospacer``;
+    * 5' PAM, − strand: ``revcomp(protospacer) + revcomp(PAM)`` — the
+      PAM sits at the *end*.
+    """
+    if (side == "5prime") != (strand == "-"):
+        return 0, pam_length
+    return guide_length, 0
+
+
 def _segments(guide: Guide, *, reverse: bool) -> list[PatternSegment]:
-    """Pattern segments for one strand of *guide*."""
-    protospacer = PatternSegment(guide.protospacer, budgeted=True)
-    pam = PatternSegment(guide.pam.pattern, budgeted=False)
-    if guide.pam.side == "3prime":
-        forward = [protospacer, pam]
-    else:
-        forward = [pam, protospacer]
-    if not reverse:
-        return forward
-    return [
-        PatternSegment(alphabet.reverse_complement(segment.text), budgeted=segment.budgeted)
-        for segment in reversed(forward)
+    """Pattern segments for one strand of *guide*, in + strand order."""
+    protospacer, pam = guide.protospacer, guide.pam.pattern
+    if reverse:
+        protospacer = alphabet.reverse_complement(protospacer)
+        pam = alphabet.reverse_complement(pam)
+    segments = [
+        PatternSegment(protospacer, budgeted=True),
+        PatternSegment(pam, budgeted=False),
     ]
+    pam_offset, _ = site_offsets(
+        guide.pam.side, "-" if reverse else "+", len(protospacer), len(pam)
+    )
+    return segments[::-1] if pam_offset == 0 else segments
 
 
 def _compile_strand(guide: Guide, budget: SearchBudget, *, strand: str) -> Nfa:

@@ -6,33 +6,29 @@ PAM motif adjacent on the correct side, on either strand. Candidates
 are reported in **guide orientation** (the protospacer as the guide
 would be synthesised) with their genomic span on the + strand of the
 region, matching the coordinate conventions of
-:class:`~repro.grna.hit.OffTargetHit`.
+:class:`~repro.grna.hit.OffTargetHit`. Where the PAM and the
+protospacer sit in the + strand window, for each PAM side and strand,
+is :func:`repro.core.compiler.site_offsets`.
 
-Strand geometry, spelled out because it is the easiest thing to ship
-subtly wrong:
-
-* 3' PAM, + strand: the window reads ``protospacer + PAM``.
-* 3' PAM, − strand: the − strand site reads ``protospacer + PAM`` in
-  its own 5'→3' direction, so on the + strand the window reads
-  ``revcomp(PAM) + revcomp(protospacer)`` — the PAM sits at the
-  *start* of the + strand window.
-* 5' PAM, + strand: the window reads ``PAM + protospacer``.
-* 5' PAM, − strand: the + strand window reads
-  ``revcomp(protospacer) + revcomp(PAM)`` — the PAM sits at the *end*.
-
-Ambiguity handling mirrors the search kernels: the protospacer must be
-concrete ``ACGT`` (a candidate overlapping an ``N`` run cannot be
-synthesised), while the PAM site is matched through
-:meth:`~repro.grna.pam.Pam.matches`, where a genome ``N`` satisfies
-only a pattern ``N`` position.
+The scan is PAM first, Cas-OFFinder's order and the kernel's: per
+strand, the PAM positions' 5-bit masks are tested straight from the
+region's codes (a genome ``N`` satisfies only a pattern ``N``), a
+prefix count of ``N`` keeps the starts whose protospacer is concrete
+``ACGT`` (a candidate overlapping an ``N`` run cannot be synthesised),
+and records are built only for the starts that pass, cut from the
+region and its reverse complement, each decoded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
+
+import numpy as np
 
 from .. import alphabet
+from ..core.bitparallel import _exact_filter, _strand_layout
+from ..core.compiler import STRANDS, site_offsets
 from ..errors import DesignError
 from ..genome.sequence import Sequence
 from ..grna.guide import _MAX_LENGTH, Guide
@@ -88,51 +84,42 @@ class Candidate:
         )
 
 
-def _candidate_name(sequence_name: str, start: int, strand: str) -> str:
-    tag = "fwd" if strand == "+" else "rev"
-    return f"{sequence_name}:{start}:{tag}"
-
-
 def _scan_sequence(
     sequence: Sequence, pam: Pam, guide_length: int
-) -> Iterator[Candidate]:
-    """Yield candidates of one sequence, ordered by (start, strand)."""
-    text = sequence.text
-    window_length = guide_length + len(pam)
-    pam_length = len(pam)
-    for start in range(0, len(text) - window_length + 1):
-        window = text[start : start + window_length]
-        end = start + window_length
-        if pam.side == "3prime":
-            forward_proto, forward_pam = window[:guide_length], window[guide_length:]
-            reverse_window = alphabet.reverse_complement(window)
-            reverse_proto = reverse_window[:guide_length]
-            reverse_pam = reverse_window[guide_length:]
-        else:
-            forward_pam, forward_proto = window[:pam_length], window[pam_length:]
-            reverse_window = alphabet.reverse_complement(window)
-            reverse_pam = reverse_window[:pam_length]
-            reverse_proto = reverse_window[pam_length:]
-        if alphabet.is_dna(forward_proto) and pam.matches(forward_pam):
-            yield Candidate(
-                name=_candidate_name(sequence.name, start, "+"),
-                protospacer=forward_proto,
-                pam_site=forward_pam,
-                sequence_name=sequence.name,
-                strand="+",
-                start=start,
-                end=end,
+) -> list[Candidate]:
+    """Candidates of one sequence, ordered by (start, strand)."""
+    codes = sequence.codes
+    n, window = codes.size, guide_length + len(pam)
+    limit = max(n - window + 1, 0)
+    n_before = np.concatenate(([0], np.cumsum(codes == alphabet.CODE_N)))
+    # In guide orientation, a site on either strand reads as a + site.
+    pam_at, proto_at = site_offsets(pam.side, "+", guide_length, len(pam))
+    text, rc = sequence.text, sequence.reverse_complement().text
+    found: list[Candidate] = []
+    for strand in STRANDS:
+        b_off, exact = _strand_layout(pam, strand, guide_length)
+        concrete = n_before[b_off + guide_length :][:limit] == n_before[b_off:][:limit]
+        passed = _exact_filter(codes, exact, limit, 0) & concrete
+        for start in np.flatnonzero(passed).tolist():
+            site = (
+                text[start : start + window]
+                if strand == "+"
+                else rc[n - start - window : n - start]
             )
-        if alphabet.is_dna(reverse_proto) and pam.matches(reverse_pam):
-            yield Candidate(
-                name=_candidate_name(sequence.name, start, "-"),
-                protospacer=reverse_proto,
-                pam_site=reverse_pam,
-                sequence_name=sequence.name,
-                strand="-",
-                start=start,
-                end=end,
+            found.append(
+                Candidate(
+                    name=f"{sequence.name}:{start}:{'fwd' if strand == '+' else 'rev'}",
+                    protospacer=site[proto_at : proto_at + guide_length],
+                    pam_site=site[pam_at : pam_at + len(pam)],
+                    sequence_name=sequence.name,
+                    strand=strand,
+                    start=start,
+                    end=start + window,
+                )
             )
+    return sorted(
+        found, key=lambda candidate: (candidate.start, candidate.strand == "-")
+    )
 
 
 def enumerate_candidates(
@@ -149,7 +136,9 @@ def enumerate_candidates(
     preserves.
 
     Raises :class:`~repro.errors.DesignError` for an unusable
-    *guide_length* (< 1 or beyond the guide model's maximum).
+    *guide_length* (< 1 or beyond the guide model's maximum), and for
+    two region sequences of one name, whose candidates would share
+    names and so each other's off-target sets.
     """
     resolved = pam if isinstance(pam, Pam) else get_pam(pam)
     if not isinstance(guide_length, int) or isinstance(guide_length, bool):
@@ -162,6 +151,13 @@ def enumerate_candidates(
     if not sequences:
         raise DesignError("no region sequences to enumerate")
     candidates: list[Candidate] = []
+    names: set[str] = set()
     for sequence in sequences:
+        if sequence.name in names:
+            raise DesignError(
+                f"region sequence name {sequence.name!r} repeats; candidate "
+                f"names (sequence:start:strand) must be unique"
+            )
+        names.add(sequence.name)
         candidates.extend(_scan_sequence(sequence, resolved, guide_length))
     return tuple(candidates)

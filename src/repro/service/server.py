@@ -181,12 +181,25 @@ def guide_from_wire(payload: dict[str, Any], *, default_pam: str = "NGG") -> Gui
     )
 
 
-def budget_from_wire(payload: dict[str, Any]) -> SearchBudget:
+def _wire_integer(value: Any, what: str) -> int:
+    """*value* when it is a JSON integer, else a typed ``bad_request``.
+
+    JSON ``true`` decodes to a Python ``bool``, which is an ``int``;
+    it is refused like a float or a string rather than read as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def budget_from_wire(payload: Any) -> SearchBudget:
     """Build a :class:`SearchBudget` from its wire dict."""
+    if not isinstance(payload, dict):
+        raise ServiceError(f"budget must be a JSON object, got {payload!r}")
     return SearchBudget(
-        mismatches=payload.get("mismatches", 3),
-        rna_bulges=payload.get("rna_bulges", 0),
-        dna_bulges=payload.get("dna_bulges", 0),
+        mismatches=_wire_integer(payload.get("mismatches", 3), "budget mismatches"),
+        rna_bulges=_wire_integer(payload.get("rna_bulges", 0), "budget rna_bulges"),
+        dna_bulges=_wire_integer(payload.get("dna_bulges", 0), "budget dna_bulges"),
     )
 
 
@@ -1142,7 +1155,9 @@ class OffTargetServer(JsonLinesServer):
                 str(payload.get("region_name", "region")), raw_region
             )
             pam = get_pam(str(payload.get("pam", "NGG")))
-            guide_length = int(payload.get("guide_length", 20))
+            guide_length = _wire_integer(
+                payload.get("guide_length", 20), "guide_length"
+            )
             budget = budget_from_wire(payload.get("budget", {}))
             session_id = str(payload.get("session", "default"))
             request_id = str(payload.get("id", ""))
@@ -1153,7 +1168,12 @@ class OffTargetServer(JsonLinesServer):
             raw_weights = payload.get("weights")
             if raw_weights is not None and not isinstance(raw_weights, dict):
                 raise ServiceError("design 'weights' must be a JSON object")
-            include_hits = bool(payload.get("include_hits", True))
+            include_hits = payload.get("include_hits", True)
+            if not isinstance(include_hits, bool):
+                raise ServiceError(
+                    f"design 'include_hits' must be a JSON boolean, "
+                    f"got {include_hits!r}"
+                )
         except (KeyError, TypeError, ValueError) as error:
             raise ServiceError(f"malformed design request: {error!r}") from error
         return {

@@ -350,9 +350,7 @@ class TestLanes:
         guide = Guide("g", "GAGTCCGAGCAGAAGAAGAA")
         genome = Sequence.from_text("chrLanes", "A" * 21 + "G" * count + "A" * 30)
         budget = SearchBudget(mismatches=20, rna_bulges=1, dna_bulges=1)
-        (group, _) = bitparallel._lane_groups(
-            [bitparallel._compile_strand(guide, strand) for strand in "+-"]
-        )
+        _, (group, _) = bitparallel._compile_panel([guide])
         assert bitparallel._bulged_lanes(genome.codes, group, budget)[0].count == count
         assert bitparallel.find_hits(genome, [guide], budget) == matcher.find_hits(
             genome, [guide], budget

@@ -8,7 +8,7 @@ filler and asserts the kernel finds the planted site exactly when the
 script fits the budget — with the naive oracle co-asserted on every
 example, so "found" always means "found and bit-identical to ground
 truth". The directed classes pin the band mechanisms one by one
-(`_band_transfer` chaining, `_bulge_layout` segment splitting, the
+(`_band_transfer` chaining, the lane layout's segment splitting, the
 per-delta bounds clamp), and the API class pins the panel against the
 reference matcher on bulged budgets.
 """
@@ -22,10 +22,8 @@ from repro.core import bitparallel, matcher
 from repro.core.bitparallel import (
     BitParallelPanel,
     _band_transfer,
-    _bulge_layout,
     _bulged_accept_boards,
-    _compile_strand,
-    _lane_groups,
+    _compile_panel,
 )
 from repro.genome.sequence import Sequence
 from repro.grna.guide import Guide
@@ -252,10 +250,9 @@ class TestBandPrimitives:
         assert reach[0, 1, 0, 0] == np.uint64(0)  # no cross-axis leak
 
     def test_bulge_layout_three_prime_pam(self):
-        pattern = _compile_strand(Guide("g", "GAGTCCGAGCAGAAGAAGAA"), "+")
-        layout = _bulge_layout(pattern)
+        _, (layout, _) = _compile_panel([Guide("g", "GAGTCCGAGCAGAAGAAGAA")])
         assert layout.b_off == 0
-        assert len(layout.budgeted_masks) == 20
+        assert len(layout.codes) == 20
         # NGG: all three PAM positions are exact and sit after the
         # protospacer, so they shift with the site-length delta.
         assert [(off, shifts) for off, _, shifts in layout.exact] == [
@@ -270,7 +267,7 @@ class TestBandPrimitives:
             "TTCGATCGATCGATCGATCG",
             pam=Pam("TTTV", "TTTV", "5prime", "AsCpf1"),
         )
-        layout = _bulge_layout(_compile_strand(guide, "+"))
+        _, (layout, _) = _compile_panel([guide])
         assert layout.b_off == 4
         # A 5' PAM sits before the budgeted run: exact positions must
         # NOT shift when bulges change the protospacer's length.
@@ -289,7 +286,7 @@ class TestBandPrimitives:
         proto = guide.protospacer
         site = proto[:9] + proto[10:] + "AGG"
         genome = Sequence.from_text("chrTight", site)
-        (group,) = _lane_groups([_compile_strand(guide, "+")])
+        _, (group, _) = _compile_panel([guide])
         budget = SearchBudget(mismatches=0, rna_bulges=1, dna_bulges=1)
         lanes, (boards,) = _bulged_accept_boards(genome.codes, group, budget)
         deltas = {d - r for (_, r, d) in boards}
@@ -299,7 +296,7 @@ class TestBandPrimitives:
 
     def test_accept_boards_empty_genome_shorter_than_shortest_site(self):
         guide = Guide("g", "GAGTCCGAGCAGAAGAAGAA")
-        (group,) = _lane_groups([_compile_strand(guide, "+")])
+        _, (group, _) = _compile_panel([guide])
         budget = SearchBudget(mismatches=0, rna_bulges=1, dna_bulges=1)
         codes = Sequence.from_text("chrTiny", "ACGT").codes
         _, (boards,) = _bulged_accept_boards(codes, group, budget)

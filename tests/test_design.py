@@ -27,7 +27,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import alphabet
+from repro import alphabet, write_fasta
+from repro.cli import main
 from repro.core.search import OffTargetSearch, SearchBudget
 from repro.design import (
     ScoreWeights,
@@ -45,6 +46,7 @@ from repro.design.vet import build_panel
 from repro.errors import DesignError
 from repro.genome.sequence import Sequence
 from repro.genome.synthetic import random_genome
+from repro.grna.guide import Guide
 from repro.grna.library import GuideLibrary
 from repro.grna.pam import get_pam
 from repro.service import (
@@ -124,11 +126,12 @@ def oracle_candidates(text, pam, guide_length):
 
 
 class TestEnumeration:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        text=st.text(alphabet="ACGTN", min_size=0, max_size=120),
-        preset=st.sampled_from(PRESETS),
-        guide_length=st.integers(min_value=3, max_value=8),
+        text=st.text(alphabet="ACGTN", min_size=0, max_size=400),
+        # "NNN" is a custom all-N 3' PAM: every start passes the PAM test.
+        preset=st.sampled_from(PRESETS + ("NNN",)),
+        guide_length=st.integers(min_value=1, max_value=30),
     )
     def test_matches_regex_oracle(self, text, preset, guide_length):
         pam = get_pam(preset)
@@ -221,6 +224,36 @@ class TestEnumeration:
             enumerate_candidates(REGION, "NGG", guide_length=True)
         with pytest.raises(DesignError):
             enumerate_candidates([], "NGG")
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_region_of_one_window_and_shorter(self, preset):
+        pam = get_pam(preset)
+        length = guide_length_for(preset)
+        guide = Guide("g", ("ACGT" * 5)[:length], pam, min_length=1)
+        window = guide.concrete_target()
+        found = enumerate_candidates(
+            Sequence.from_text("r", window), pam, guide_length=length
+        )
+        assert ("+", guide.protospacer) in {(c.strand, c.protospacer) for c in found}
+        assert all((c.start, c.end) == (0, len(window)) for c in found)
+        assert {
+            (c.start, c.strand, c.protospacer, c.pam_site) for c in found
+        } == oracle_candidates(window, pam, length)
+        for short in (window[:-1], window[1:], ""):
+            region = Sequence.from_text("r", short)
+            assert enumerate_candidates(region, pam, guide_length=length) == ()
+
+    def test_repeated_sequence_name_is_refused(self):
+        # Candidate names are sequence:start:strand, and vetting fans
+        # hits out by name: two regions named "r" would share names, and
+        # each would count the other's on-target site as an off-target.
+        first = random_genome(400, seed=1, name="r")
+        second = random_genome(400, seed=2, name="r")
+        with pytest.raises(DesignError, match="'r'"):
+            enumerate_candidates([first, second], "NGG")
+        genome = Sequence.from_text("chrBoth", first.text + second.text)
+        with pytest.raises(DesignError, match="'r'"):
+            run_design([first, second], genome, "NGG")
 
     def test_n_runs_block_protospacers_but_not_pattern_n(self):
         # The protospacer must be concrete; the PAM's N positions admit
@@ -509,6 +542,17 @@ class TestDesignPipeline:
         bad = ScoreWeights(gc_weight=0.9)
         with pytest.raises(DesignError):
             run_design(REGION, GENOME, "NGG", weights=bad)
+
+    def test_cli_refuses_repeated_region_names(self, tmp_path, capsys):
+        path = tmp_path / "region.fa"
+        write_fasta(
+            [random_genome(400, seed=1, name="r"), random_genome(400, seed=2, name="r")],
+            path,
+        )
+        assert main(["design", str(path), "--mismatches", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'r'" in captured.err
 
     def test_stats_carry_obs_snapshot(self):
         report = run_design(REGION, GENOME, "NGG", budget=SearchBudget(mismatches=1))

@@ -140,6 +140,44 @@ class TestWireProtocol:
         # pipeline started (its vetting query would have been admitted).
         assert service.stats()["requests"]["admitted"] == 0
 
+    @pytest.mark.parametrize(
+        "op, fields",
+        [
+            ("query", {"budget": {"mismatches": 2.5}}),
+            ("query", {"budget": {"dna_bulges": True}}),
+            ("query", {"budget": [2]}),
+            ("design", {"budget": {"mismatches": 2.5}}),
+            ("design", {"guide_length": 20.9}),
+            ("design", {"guide_length": True}),
+            ("design", {"include_hits": "false"}),
+        ],
+        ids=[
+            "query-float-mismatches",
+            "query-bool-bulges",
+            "query-budget-list",
+            "design-float-mismatches",
+            "design-float-guide-length",
+            "design-bool-guide-length",
+            "design-string-include-hits",
+        ],
+    )
+    def test_mistyped_fields_are_bad_request_before_admission(
+        self, live_server, genome, guides, op, fields
+    ):
+        # Budget fields and guide_length must be JSON integers (not
+        # booleans) and include_hits a JSON boolean; nothing is coerced.
+        host, port, service = live_server
+        if op == "query":
+            payload = {"op": op, "guides": [guide_to_wire(guides[0])]}
+        else:
+            payload = {"op": op, "region": genome.text[:300]}
+        with socket.create_connection((host, port), timeout=10) as raw:
+            raw.sendall((json.dumps({**payload, **fields}) + "\n").encode("ascii"))
+            response = json.loads(raw.makefile("rb").readline())
+        assert response["ok"] is False
+        assert response["error"] == "bad_request", response
+        assert service.stats()["requests"]["admitted"] == 0
+
     def test_overload_propagates_through_the_socket(self, genome, guides):
         # Deterministic overload: no batcher thread, queue depth 1,
         # prefilled — the socket query must be shed with the typed error.
