@@ -213,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "size of the one shard-worker pool; forked on the first pooled "
-            "search and kept until shutdown (1 searches in-process)"
+            "search and kept until shutdown. Workers inherit the loaded "
+            "genome and keep their own lane index; a session registered "
+            "later forks them once more (1 searches in-process)"
         ),
     )
     serve.add_argument(

@@ -553,6 +553,13 @@ class ClusterRouter(JsonLinesServer):
             raise ServiceError(
                 "design needs a non-empty 'region' sequence string"
             )
+        # Refuse a budget a backend would refuse, with the same answer,
+        # before it goes into the key.
+        raw_budget = payload.get("budget", {})
+        try:
+            budget_from_wire(raw_budget)
+        except (KeyError, TypeError, ValueError) as error:
+            raise ServiceError(f"malformed design request: {error!r}") from error
         session_id = str(payload.get("session", "default"))
         identity = json.dumps(
             [
@@ -560,7 +567,7 @@ class ClusterRouter(JsonLinesServer):
                 raw_region,
                 str(payload.get("pam", "NGG")),
                 str(payload.get("guide_length", 20)),
-                dict(payload.get("budget", {}) or {}),
+                raw_budget,
             ],
             sort_keys=True,
         )

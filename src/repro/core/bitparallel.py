@@ -126,16 +126,21 @@ builds them and every later panel of that layout reuses them. A kept
 index holds at most :data:`LANE_INDEX_BYTES_PER_SYMBOL` bytes per
 symbol of each block and of its genome, evicting the least recently
 used layouts; a layout over the bound (an all-``N`` PAM keeps every
-start) is built per scan and not kept.
+start) is built per scan and not kept. Pool workers forked while a kept
+index lives inherit its sequences, and each keeps an index of its own
+over them (:mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -459,6 +464,26 @@ def _find_lanes(codes: np.ndarray, group: _LaneGroup, budget: SearchBudget) -> _
 _LayoutKey = Tuple[Optional[Tuple[int, int, int]], int, _Exact, int, int]
 
 
+#: Kept-index tokens come from a counter, so no token is ever reused: a
+#: pool worker can never mistake a new index for one it inherited.
+_index_tokens = itertools.count(1)
+
+#: Every live kept index by token. A pool worker forked now inherits
+#: each of them, sequences included.
+_kept_indexes: Dict[int, "weakref.ref[LaneIndex]"] = {}
+
+
+def kept_index_tokens() -> FrozenSet[int]:
+    """The tokens of every kept :class:`LaneIndex` alive now."""
+    return frozenset(_kept_indexes)
+
+
+def kept_index(token: int) -> "LaneIndex | None":
+    """The live kept index *token* names, or ``None``."""
+    ref = _kept_indexes.get(token)
+    return None if ref is None else ref()
+
+
 class LaneIndex:
     """Lanes and lane code boards, built once per (genome block, lane layout).
 
@@ -479,6 +504,10 @@ class LaneIndex:
     evicted to keep the total within that many bytes per symbol of the
     genome. A layout over the bound (an all-``N`` PAM keeps every
     start) is built per scan.
+
+    A kept index has a ``token`` that names it to the pool workers
+    forked while it lives (:func:`kept_index`): they inherit its
+    sequences and scan them through indexes of their own.
     """
 
     def __init__(self, sequences: Iterable[Sequence] = ()) -> None:
@@ -494,6 +523,15 @@ class LaneIndex:
         self._builds = 0
         self._reuses = 0
         self._lock = threading.Lock()
+        self.token: int | None = None
+        if self._sequences:
+            self.token = next(_index_tokens)
+            _kept_indexes[self.token] = weakref.ref(self)
+            weakref.finalize(self, _kept_indexes.pop, self.token, None)
+
+    @property
+    def sequences(self) -> Tuple[Sequence, ...]:
+        return self._sequences
 
     def stats(self) -> Dict[str, int]:
         """Kept layouts and bytes, the bound, and builds and reuses so far."""
@@ -506,8 +544,9 @@ class LaneIndex:
                 "reuses": self._reuses,
             }
 
-    def _block(self, codes: np.ndarray) -> Tuple[int, int, int] | None:
-        """Where *codes* lies in the index's sequences, or ``None``."""
+    def locate(self, codes: np.ndarray) -> Tuple[int, int, int] | None:
+        """Where *codes* lies in the index's sequences, ``(sequence,
+        offset, length)``, or ``None``."""
         if not self._spans or codes.dtype != np.uint8 or not codes.flags.c_contiguous:
             return None
         address = codes.__array_interface__["data"][0]
@@ -518,7 +557,7 @@ class LaneIndex:
 
     def lanes(self, codes: np.ndarray, group: _LaneGroup, budget: SearchBudget) -> _Lanes:
         """The lanes and boards of *group*'s layout in the block *codes*."""
-        block = self._block(codes)
+        block = self.locate(codes)
         key = (block, group.total, group.exact, budget.rna_bulges, budget.dna_bulges)
         if block is not None:
             with self._lock:

@@ -21,28 +21,41 @@ Work is sharded genome first:
   give every worker a shard.
 
 A shard carries its chunk's codes as a view into the genome's code
-array, so building the shards copies nothing and pickling one to a
-worker ships only that chunk's bytes, alongside plain guide records and
-the :class:`SearchBudget` — never automaton objects. A pool worker
-compiles each shard's :class:`~repro.core.bitparallel.BitParallelPanel`
-itself; the in-process path compiles each guide batch's panel once per
-run and scans every chunk with it. :func:`_search_shard` scans one
-shard on both paths. In-process shards read their lanes through the
-caller's :class:`~repro.core.bitparallel.LaneIndex` when it passes one
-(a serving session keeps one for its genome); pool workers build a
-throwaway index per shard and keep nothing. The parent merges shard
-results in shard order and canonically dedupes, so the final hit list
-is **bit-identical** to the whole-genome kernel regardless of worker
-count, chunk size, or scheduling order — the property the
-differential test suite pins against the
-:class:`~repro.core.reference.NaiveSearcher` oracle.
+array, so building the shards copies nothing, alongside plain guide
+records and the :class:`SearchBudget` — never automaton objects. A pool
+worker compiles each shard's
+:class:`~repro.core.bitparallel.BitParallelPanel` itself; the
+in-process path compiles each guide batch's panel once per run and
+scans every chunk with it. :func:`_search_shard` scans one shard on
+both paths. The parent merges shard results in shard order and
+canonically dedupes, so the final hit list is **bit-identical** to the
+whole-genome kernel regardless of worker count, chunk size, or
+scheduling order — the property the differential test suite pins
+against the :class:`~repro.core.reference.NaiveSearcher` oracle.
 
 Pooled shards run on a :class:`ShardPool`, the one owner of a
 :class:`ProcessPoolExecutor`. It forks its workers on the first pooled
 dispatch and keeps them: a caller that runs many searches (the serving
 scheduler) holds one pool for its lifetime, and a search given no pool
 makes a private one for the length of one ``search`` or
-``search_many`` call.
+``search_many`` call. A multi-sequence search submits every sequence's
+shards in one supervised round.
+
+Resident genome
+---------------
+A caller that searches one fixed genome repeatedly (a serving session)
+passes a kept :class:`~repro.core.bitparallel.LaneIndex` over it.
+In-process shards read their lanes through it. Pool workers are forked,
+so they inherit every kept index alive at the spawn, sequences
+included, and the pool records which. A pooled shard whose chunk lies
+in such an index ships as a :class:`ResidentChunk` (index token,
+sequence, offset, length) instead of its codes: the worker cuts the
+chunk from its own inherited copy of the sequence and reads lanes
+through an index of its own over those sequences, built on first use
+and kept for the worker's life under the same per-base bound. A search
+whose index the live workers did not inherit (a session registered
+after the spawn) retires them, idle between searches, and forks fresh
+ones. Searches without a kept index (one-shot scans) ship codes.
 
 Fault tolerance
 ---------------
@@ -90,6 +103,7 @@ oracle hit set with the recovery visible in the run's stats.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import threading
 import time
@@ -120,6 +134,9 @@ FAULT_KINDS = ("kill", "hang", "corrupt")
 #: Attempts per shard in each execution arena (the pooled run and the
 #: in-process rescue), and the cap on pool rebuilds per run.
 SHARD_ATTEMPTS = 3
+
+#: The codes a resident shard's task carries to a worker: none.
+_NO_CODES = np.empty(0, dtype=np.uint8)
 
 
 class ShardError(EngineError):
@@ -209,8 +226,9 @@ class ShardTask:
 
     ``codes`` is the chunk's slice of the genome's code array, a view
     rather than a copy; pickling the task to a worker ships just that
-    slice. Guides travel as small frozen records and the budget as
-    three ints, so a worker compiles the panel itself.
+    slice, unless the chunk is resident (:class:`ResidentChunk`).
+    Guides travel as small frozen records and the budget as three
+    ints, so a worker compiles the panel itself.
     """
 
     shard_id: int
@@ -224,6 +242,17 @@ class ShardTask:
     @property
     def chunk_length(self) -> int:
         return int(self.codes.size)
+
+
+@dataclass(frozen=True)
+class ResidentChunk:
+    """Where a pooled shard's chunk lies in a kept lane index its worker
+    inherited: what ships in place of the chunk's codes."""
+
+    token: int
+    sequence: int
+    offset: int
+    length: int
 
 
 @dataclass(frozen=True)
@@ -312,6 +341,43 @@ def _run_shard(
     return result
 
 
+#: A pool worker's own lane index per inherited kept index, by token:
+#: built on first use and kept for the worker's life. Empty in a parent.
+_worker_indexes: dict[int, bitparallel.LaneIndex] = {}
+
+
+def _worker_index(token: int) -> bitparallel.LaneIndex:
+    """This worker's own index over the sequences of inherited index *token*.
+
+    The inherited index object is never scanned through: another parent
+    thread may have held its lock at the fork, and in the child that
+    lock stays held.
+    """
+    index = _worker_indexes.get(token)
+    if index is None:
+        inherited = bitparallel.kept_index(token)
+        if inherited is None:
+            raise ShardError(f"lane index {token} was not inherited", kind="not_resident")
+        index = _worker_indexes[token] = bitparallel.LaneIndex(inherited.sequences)
+    return index
+
+
+def _run_resident(
+    payload: tuple[ResidentChunk, ShardTask, str | None, float, int],
+) -> ShardResult:
+    """Worker entry point for a shard whose chunk is resident (picklable).
+
+    *payload* is ``(chunk, task, fault_kind, hang_seconds, parent_pid)``
+    with a task that carries no codes: the worker cuts them from its
+    inherited copy of the sequence and scans them through its own index.
+    """
+    chunk, task, fault, hang_seconds, parent_pid = payload
+    index = _worker_index(chunk.token)
+    codes = index.sequences[chunk.sequence].codes
+    task = replace(task, codes=codes[chunk.offset : chunk.offset + chunk.length])
+    return _run_shard((task, fault, hang_seconds, parent_pid), None, index)
+
+
 def validate_shard_result(task: ShardTask, result: object) -> str | None:
     """Check a shard payload against its task's own invariants.
 
@@ -373,6 +439,7 @@ class _ShardState:
     """Parent-side bookkeeping for one shard across its attempts."""
 
     task: ShardTask
+    metrics: Metrics  # its sequence's
     attempts: int = 0
     failures: list[str] = field(default_factory=list)
     timeouts: int = 0
@@ -385,11 +452,14 @@ class ShardPool:
 
     It owns the one :class:`ProcessPoolExecutor` of ``workers``
     processes and spawns it on the first pooled dispatch, not at
-    construction. A search that finds the executor broken, or leaves
-    an abandoned attempt running on it, passes it to :meth:`retire`,
-    and the next dispatch spawns fresh workers. Searches sharing a
-    pool must not overlap (the serving scheduler runs one batch at a
-    time); the lock guards only spawn, retire and close.
+    construction. Its workers are forked, so they inherit every kept
+    :class:`~repro.core.bitparallel.LaneIndex` alive at the spawn, and
+    the pool records their tokens. A search that finds the executor
+    broken, or leaves an abandoned attempt running on it, passes it to
+    :meth:`retire`, and the next dispatch spawns fresh workers.
+    Searches sharing a pool must not overlap (the serving scheduler
+    runs one batch at a time); the lock guards only spawn, retire and
+    close.
     """
 
     def __init__(self, workers: int) -> None:
@@ -397,24 +467,47 @@ class ShardPool:
             raise EngineError(f"workers must be a positive integer, got {workers!r}")
         self._workers = workers
         self._executor: ProcessPoolExecutor | None = None
+        self._inherited: frozenset[int] = frozenset()
         self._spawns = 0
         self._closed = False
         self._lock = threading.Lock()
 
     @property
     def spawns(self) -> int:
-        """Executors spawned so far; more than one means faults recycled it."""
+        """Executors spawned so far: faults and indexes kept after a
+        spawn each recycle it."""
         return self._spawns
 
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor, spawning one if there is none."""
+    def executor(
+        self, lane_index: bitparallel.LaneIndex | None = None
+    ) -> ProcessPoolExecutor:
+        """The live executor, spawning one if there is none.
+
+        A live executor whose workers did not inherit the kept
+        *lane_index* (one built after the spawn, such as a session
+        registered later) is shut down, idle between searches, and a
+        fresh one forked in its place, which inherits it.
+        """
+        token = None if lane_index is None else lane_index.token
+        stale: ProcessPoolExecutor | None = None
         with self._lock:
             if self._closed:
                 raise EngineError("shard pool is closed")
+            if token is not None and token not in self._inherited:
+                stale, self._executor = self._executor, None
             if self._executor is None:
-                self._executor = ProcessPoolExecutor(max_workers=self._workers)
+                # The workers fork on the first submit, so they inherit
+                # at least the indexes alive now.
+                self._inherited = bitparallel.kept_index_tokens()
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self._workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                )
                 self._spawns += 1
-            return self._executor
+            executor = self._executor
+        if stale is not None:
+            stale.shutdown(wait=True)
+        return executor
 
     def retire(self, executor: ProcessPoolExecutor) -> None:
         """Stop handing out *executor*; never waits on a hung worker."""
@@ -470,11 +563,14 @@ class ParallelSearch:
         ``search`` or ``search_many`` call; a caller that searches
         repeatedly passes its own, so the workers are forked once.
     lane_index:
-        The :class:`~repro.core.bitparallel.LaneIndex` in-process shards
-        read their lanes through. ``None`` (default) builds a throwaway
-        one per shard; a caller that searches one fixed genome
-        repeatedly passes an index over it, so each chunk's lanes are
-        found once. Pool workers never use it.
+        A kept :class:`~repro.core.bitparallel.LaneIndex` over the
+        genome, which a caller that searches one fixed genome
+        repeatedly passes so each chunk's lanes are found once.
+        In-process shards read their lanes through it; pooled shards
+        of its chunks ship as :class:`ResidentChunk` and read them
+        through their worker's own index over the same sequences.
+        ``None`` (default) builds a throwaway index per shard and
+        ships every pooled shard's codes.
     """
 
     def __init__(
@@ -580,19 +676,19 @@ class ParallelSearch:
     def _hang_seconds(self) -> float:
         return self._fault_plan.hang_seconds if self._fault_plan else 0.0
 
-    def _record_failure(self, state: _ShardState, kind: str, metrics: Metrics) -> None:
+    def _record_failure(self, state: _ShardState, kind: str) -> None:
         state.failures.append(kind)
         if kind == "timeout":
             state.timeouts += 1
-        metrics.incr("parallel.failures")
-        metrics.incr(f"parallel.failures.{kind}")
+        state.metrics.incr("parallel.failures")
+        state.metrics.incr(f"parallel.failures.{kind}")
 
-    def _record_success(self, state: _ShardState, result: ShardResult, metrics: Metrics) -> None:
+    def _record_success(self, state: _ShardState, result: ShardResult) -> None:
         state.result = result
-        metrics.incr("parallel.shards_completed")
-        metrics.incr("parallel.kernel_positions", state.task.chunk_length)
-        metrics.incr("parallel.report_events", result.num_hits)
-        metrics.observe("parallel.shard_seconds", result.seconds)
+        state.metrics.incr("parallel.shards_completed")
+        state.metrics.incr("parallel.kernel_positions", state.task.chunk_length)
+        state.metrics.incr("parallel.report_events", result.num_hits)
+        state.metrics.observe("parallel.shard_seconds", result.seconds)
 
     def _acquire_executor(
         self, pool: ShardPool, run: dict, metrics: Metrics
@@ -602,7 +698,7 @@ class ParallelSearch:
             run["spawn_failures_left"] -= 1
         else:
             try:
-                return pool.executor()
+                return pool.executor(self._lane_index)
             except (OSError, BrokenExecutor, RuntimeError):
                 pass
         run["pool_spawn_failures"] += 1
@@ -612,12 +708,7 @@ class ParallelSearch:
     # -- in-process execution (serial path and last-resort rescue) ---------
 
     def _in_process_attempts(
-        self,
-        state: _ShardState,
-        run: dict,
-        metrics: Metrics,
-        *,
-        recovery_label: str = "retry",
+        self, state: _ShardState, run: dict, *, recovery_label: str = "retry"
     ) -> bool:
         """Run one shard in-process, up to :data:`SHARD_ATTEMPTS` attempts.
 
@@ -654,25 +745,42 @@ class ParallelSearch:
                         kind="corrupt_result",
                     )
             except ShardError as error:
-                self._record_failure(state, error.kind, metrics)
+                self._record_failure(state, error.kind)
                 continue
-            self._record_success(state, result, metrics)
+            self._record_success(state, result)
             if state.failures:
                 state.recovery = recovery_label
             return True
         return False
 
-    def _execute_serial(
-        self, states: list[_ShardState], run: dict, metrics: Metrics
-    ) -> None:
+    def _execute_serial(self, states: list[_ShardState], run: dict) -> None:
         for state in states:
-            if not self._in_process_attempts(state, run, metrics):
+            if not self._in_process_attempts(state, run):
                 raise EngineError(
                     f"shard {state.task.shard_id} failed after "
                     f"{state.attempts} attempt(s): {state.failures}"
                 )
 
     # -- pooled execution ---------------------------------------------------
+
+    def _resident(
+        self, states: list[_ShardState]
+    ) -> dict[int, tuple[ResidentChunk, ShardTask]]:
+        """What ships for each shard whose chunk lies in the kept lane
+        index: its place, and its task without the codes."""
+        index = self._lane_index
+        if index is None or index.token is None:
+            return {}
+        token = index.token
+        resident: dict[int, tuple[ResidentChunk, ShardTask]] = {}
+        for state in states:
+            place = index.locate(state.task.codes)
+            if place is not None:
+                resident[state.task.shard_id] = (
+                    ResidentChunk(token, *place),
+                    replace(state.task, codes=_NO_CODES),
+                )
+        return resident
 
     def _execute_pooled(
         self,
@@ -687,10 +795,12 @@ class ParallelSearch:
             # Pool failed to spawn: degrade to the serial path — same
             # shards, same merge, identical results.
             run["serial_fallback"] = True
-            self._execute_serial(states, run, metrics)
+            self._execute_serial(states, run)
             return
         run["pooled"] = True
         parent_pid = os.getpid()
+        # Every executor this search gets inherited its lane index.
+        resident = self._resident(states)
         waiting: set[int] = set(by_id)  # shards to (re)submit at once
         in_flight: dict = {}  # Future -> (shard_id, deadline)
         terminal: list[int] = []
@@ -703,7 +813,7 @@ class ParallelSearch:
             # own attempt may have been perfectly healthy — so it
             # requeues without counting against the shard's attempts;
             # runaway kills are bounded by the rebuild cap instead.
-            self._record_failure(state, kind, metrics)
+            self._record_failure(state, kind)
             if consume_budget and state.attempts >= SHARD_ATTEMPTS:
                 terminal.append(state.task.shard_id)
             else:
@@ -717,9 +827,18 @@ class ParallelSearch:
                     state = by_id[shard_id]
                     attempt = state.attempts + 1
                     fault = self._fault_for(shard_id, attempt)
-                    payload = (state.task, fault, self._hang_seconds(), parent_pid)
                     try:
-                        future = executor.submit(_run_shard, payload)
+                        if shard_id in resident:
+                            chunk, task = resident[shard_id]
+                            future = executor.submit(
+                                _run_resident,
+                                (chunk, task, fault, self._hang_seconds(), parent_pid),
+                            )
+                        else:
+                            future = executor.submit(
+                                _run_shard,
+                                (state.task, fault, self._hang_seconds(), parent_pid),
+                            )
                     except (BrokenExecutor, RuntimeError):
                         broken = True
                         break
@@ -757,7 +876,7 @@ class ParallelSearch:
                         if defect:
                             schedule_failure(state, "corrupt_result")
                             continue
-                        self._record_success(state, result, metrics)
+                        self._record_success(state, result)
                         if state.failures:
                             state.recovery = "retry"
                     # Abandon attempts past their deadline and requeue the
@@ -806,11 +925,8 @@ class ParallelSearch:
             state = by_id[shard_id]
             if state.result is not None:
                 continue
-            if self._in_process_attempts(
-                state, run, metrics, recovery_label="in_process"
-            ):
-                run["in_process_rescues"] += 1
-                metrics.incr("parallel.in_process_rescues")
+            if self._in_process_attempts(state, run, recovery_label="in_process"):
+                state.metrics.incr("parallel.in_process_rescues")
             else:
                 raise EngineError(
                     f"shard {shard_id} failed after {state.attempts} attempt(s) "
@@ -850,19 +966,53 @@ class ParallelSearch:
         whether a pool actually ran (or fell back to serial), per-shard
         wall seconds / attempts / failure kinds / recovery paths, the
         fault-tolerance totals, and an :class:`~repro.obs.Metrics`
-        snapshot of the run.
+        snapshot of the run. It is :meth:`search_many_with_stats`'s
+        one-sequence case.
+        """
+        hits, (stats,) = self.search_many_with_stats([genome])
+        return hits, stats
+
+    def search_many(self, genomes: Iterable[Sequence]) -> list[OffTargetHit]:
+        """Search several sequences (chromosomes), merged canonically."""
+        hits, _ = self.search_many_with_stats(genomes)
+        return hits
+
+    def search_many_with_stats(
+        self, genomes: Iterable[Sequence]
+    ) -> tuple[list[OffTargetHit], list[dict]]:
+        """Search several sequences in one round; hits merged canonically.
+
+        Every sequence's shards are submitted in one supervised round,
+        numbered in canonical order (sequence, chunk, guide batch), so a
+        one-sequence search keeps :meth:`shard_tasks`' ids. The stats
+        are one dict per sequence, describing its own shards. What
+        belongs to the round (its wall seconds, pool rebuilds and spawn
+        failures, and its ``execute`` span) is reported once, on the
+        first sequence's dict, so summing the dicts counts it once.
         """
         with self._pool_scope() as pool:
-            return self._search_one(genome, pool)
+            return self._search_round(genomes, pool)
 
-    def _search_one(
-        self, genome: Sequence, pool: ShardPool | None
-    ) -> tuple[list[OffTargetHit], dict]:
-        metrics = Metrics()
+    def _search_round(
+        self, genomes: Iterable[Sequence], pool: ShardPool | None
+    ) -> tuple[list[OffTargetHit], list[dict]]:
         started = time.perf_counter()
-        with metrics.span("shard_tasks"):
-            tasks = self.shard_tasks(genome)
-        states = [_ShardState(task) for task in tasks]
+        sequences: list[tuple[Sequence, Metrics, list[_ShardState]]] = []
+        states: list[_ShardState] = []
+        for genome in genomes:
+            metrics = Metrics()
+            with metrics.span("shard_tasks"):
+                tasks = self.shard_tasks(genome)
+            first = len(states)
+            own = [
+                _ShardState(replace(task, shard_id=first + task.shard_id), metrics)
+                for task in tasks
+            ]
+            states.extend(own)
+            sequences.append((genome, metrics, own))
+        if not sequences:
+            return [], []
+        round_metrics = sequences[0][1]
         run = {
             "pooled": False,
             "serial_fallback": False,
@@ -871,23 +1021,46 @@ class ParallelSearch:
             "spawn_failures_left": (
                 self._fault_plan.pool_spawn_failures if self._fault_plan else 0
             ),
-            "in_process_rescues": 0,
             "panels": {},
         }
-        with metrics.span("execute", shards=len(tasks)):
+        with round_metrics.span("execute", shards=len(states)):
             if pool is None or len(states) <= 1:
-                self._execute_serial(states, run, metrics)
+                self._execute_serial(states, run)
             else:
-                self._execute_pooled(states, pool, run, metrics)
-        merge_started = time.perf_counter()
-        with metrics.span("merge"):
-            hits = merge_shards(
-                state.result for state in states if state.result is not None
+                self._execute_pooled(states, pool, run, round_metrics)
+        hits: list[OffTargetHit] = []
+        merge_seconds: list[float] = []
+        for _, metrics, own in sequences:
+            merge_started = time.perf_counter()
+            with metrics.span("merge"):
+                hits.extend(
+                    merge_shards(state.result for state in own if state.result is not None)
+                )
+            merge_seconds.append(time.perf_counter() - merge_started)
+        wall_seconds = time.perf_counter() - started
+        per_sequence = [
+            self._sequence_stats(genome, metrics, own, run, merged, first=number == 0)
+            for number, ((genome, metrics, own), merged) in enumerate(
+                zip(sequences, merge_seconds)
             )
-        finished = time.perf_counter()
-        num_chunks = len({task.chunk_start for task in tasks})
+        ]
+        per_sequence[0]["wall_seconds"] = wall_seconds
+        return dedupe_hits(hits), per_sequence
+
+    def _sequence_stats(
+        self,
+        genome: Sequence,
+        metrics: Metrics,
+        states: list[_ShardState],
+        run: dict,
+        merge_seconds: float,
+        *,
+        first: bool,
+    ) -> dict:
+        """One sequence's stats dict; see :meth:`search_many_with_stats`."""
+        num_chunks = len({state.task.chunk_start for state in states})
         shard_rows = []
-        for state in sorted(states, key=lambda s: s.task.shard_id):
+        for state in states:
             result = state.result
             shard_rows.append(
                 {
@@ -905,21 +1078,22 @@ class ParallelSearch:
         for state in states:
             for kind in state.failures:
                 failure_totals[kind] = failure_totals.get(kind, 0) + 1
-        stats = {
+        return {
+            "sequence": genome.name,
             "workers": self._workers,
             "pooled": run["pooled"],
             "serial_fallback": run["serial_fallback"],
-            "num_shards": len(tasks),
+            "num_shards": len(states),
             "num_chunks": num_chunks,
-            "num_guide_batches": len(tasks) // num_chunks if num_chunks else 0,
+            "num_guide_batches": len(states) // num_chunks if num_chunks else 0,
             "chunk_length": self._chunk_length,
             "overlap": self._overlap,
             "shards": shard_rows,
             "total_shard_seconds": sum(
                 state.result.seconds for state in states if state.result
             ),
-            "merge_seconds": finished - merge_started,
-            "wall_seconds": finished - started,
+            "merge_seconds": merge_seconds,
+            "wall_seconds": 0.0,
             "kernel_positions": int(metrics.counter("parallel.kernel_positions")),
             "report_events": int(metrics.counter("parallel.report_events")),
             "fault_tolerance": {
@@ -927,28 +1101,11 @@ class ParallelSearch:
                 "retries": sum(max(0, state.attempts - 1) for state in states),
                 "timeouts": sum(state.timeouts for state in states),
                 "failures": failure_totals,
-                "pool_rebuilds": run["pool_rebuilds"],
-                "pool_spawn_failures": run["pool_spawn_failures"],
-                "in_process_rescues": run["in_process_rescues"],
+                "pool_rebuilds": run["pool_rebuilds"] if first else 0,
+                "pool_spawn_failures": run["pool_spawn_failures"] if first else 0,
+                "in_process_rescues": sum(
+                    state.recovery == "in_process" for state in states
+                ),
             },
             "obs": metrics.snapshot(),
         }
-        return hits, stats
-
-    def search_many(self, genomes: Iterable[Sequence]) -> list[OffTargetHit]:
-        """Search several sequences (chromosomes), merged canonically."""
-        hits, _ = self.search_many_with_stats(genomes)
-        return hits
-
-    def search_many_with_stats(
-        self, genomes: Iterable[Sequence]
-    ) -> tuple[list[OffTargetHit], list[dict]]:
-        """Search several sequences; hits merged canonically, stats per sequence."""
-        hits: list[OffTargetHit] = []
-        per_sequence: list[dict] = []
-        with self._pool_scope() as pool:
-            for genome in genomes:
-                sequence_hits, stats = self._search_one(genome, pool)
-                hits.extend(sequence_hits)
-                per_sequence.append({"sequence": genome.name, **stats})
-        return dedupe_hits(hits), per_sequence

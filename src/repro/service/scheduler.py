@@ -15,10 +15,15 @@ runs forms the next one, so a batch's size follows the load with no
 timer to tune. With ``workers > 1`` every pass runs on one
 :class:`~repro.core.parallel.ShardPool` that the scheduler keeps for
 its lifetime, so the shard workers are forked once, on the first
-pooled pass, rather than once per request. Shards scanned in-process
-read their lanes through the session's
-:class:`~repro.core.bitparallel.LaneIndex`, so each chunk's PAM lanes
-are found once per session rather than once per request.
+pooled pass, rather than once per request. Each pass hands the
+session's :class:`~repro.core.bitparallel.LaneIndex` to the search, so
+each chunk's PAM lanes are found once per session rather than once
+per request: in-process shards read them through it, and the pool's
+workers, which inherit the session's genome at the fork, through
+indexes of their own. A pooled shard ships only its chunk's place in
+the genome, and a session's sequences go to the pool in one round. A
+session registered after the fork makes its first pooled pass fork
+the workers once more.
 
 Why demultiplexing is exact
 ---------------------------

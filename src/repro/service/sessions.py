@@ -10,11 +10,14 @@ and out.
 
 Each session also owns a :class:`~repro.core.bitparallel.LaneIndex`
 over its sequences: the PAM lanes and lane code boards of every chunk
-the kernel scans in-process depend only on the genome and the PAM
-layout, so the first panel of a layout builds them and later panels
-reuse them. The index is empty until then, holds at most
+the kernel scans depend only on the genome and the PAM layout, so the
+first panel of a layout builds them and later panels reuse them. The
+index is empty until then, holds at most
 :data:`~repro.core.bitparallel.LANE_INDEX_BYTES_PER_SYMBOL` bytes per
-base, and dies with its session.
+base, and dies with its session. In-process scans read through it.
+Shard-pool workers forked after the session registered inherit its
+sequences and keep an index of their own over them, under the same
+bound; the session's index names the genome to them (its ``token``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ class GenomeSession:
     """One loaded reference: an id, its sequences, and provenance.
 
     ``lanes`` is the session's lane index, which in-process scans of
-    these sequences read their lanes through.
+    these sequences read their lanes through, and which names them to
+    the pool workers that inherited them.
     """
 
     session_id: str

@@ -553,22 +553,31 @@ class TestClusterRouting:
 
     @pytest.mark.parametrize(
         "mistake",
-        [{"protospacer": "ACGTACGTACGTACGTACZZ"}, {"pam": "QQQ"}],
-        ids=["protospacer", "pam"],
+        [
+            {"protospacer": "ACGTACGTACGTACGTACZZ"},
+            {"pam": "QQQ"},
+            {"op": "design", "budget": [2]},
+            {"op": "design", "budget": "x"},
+        ],
+        ids=["protospacer", "pam", "design-budget-list", "design-budget-string"],
     )
     def test_client_mistakes_answer_like_a_direct_server(
         self, genome, guides, mistake
     ):
-        # A GuideError/PamError raised while keying the request is the
-        # client's mistake: the router answers what a backend answers.
+        # A GuideError/PamError raised while keying a query, or a design
+        # budget that is not a JSON object, is the client's mistake: the
+        # router answers what a backend answers.
         router, backends = make_cluster(genome, 2)
-        payload = {
-            "op": "query",
-            "guides": [
-                {"name": "g", "protospacer": guides[0].protospacer, **mistake}
-            ],
-            "budget": {"mismatches": 1},
-        }
+        if mistake.get("op") == "design":
+            payload = {"region": genome.text[:400], **mistake}
+        else:
+            payload = {
+                "op": "query",
+                "guides": [
+                    {"name": "g", "protospacer": guides[0].protospacer, **mistake}
+                ],
+                "budget": {"mismatches": 1},
+            }
         try:
             with router_client(router) as client:
                 routed = client.exchange(payload)

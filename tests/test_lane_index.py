@@ -7,14 +7,25 @@ the wrong block, budget shape or PAM layout, so these tests scan panels
 in orders that leave other layouts in the index and hold every answer
 to the naive oracle and to a fresh index. They also pin the retained-
 byte bound and the index's lifetime (it dies with its session).
+
+Pool workers inherit a kept index's sequences at the fork and keep an
+index of their own over them. The resident-pool tests pin what ships
+to a worker, the workers' own reuse, and the hazards of inheriting an
+index: a token that names another genome, a lock held at the fork, and
+a worker that missed its token (retried, then rescued in-process, so
+right answers alone would not show it: every pooled run here asserts
+no shard failure).
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import os
+import pickle
 import sys
 import threading
+import time
 import weakref
 
 import pytest
@@ -28,8 +39,9 @@ from repro import (
     random_genome,
     sample_guides_from_genome,
 )
-from repro.core import bitparallel
+from repro.core import bitparallel, parallel
 from repro.core.bitparallel import LANE_INDEX_BYTES_PER_SYMBOL, LaneIndex
+from repro.core.parallel import ShardPool
 from repro.genome.sequence import Sequence
 from repro.grna.guide import Guide
 
@@ -80,10 +92,22 @@ def indexed_search(case, index):
     ).search(case.genome)
 
 
-def run_grid_with_shared_index(spec: GridSpec) -> None:
+def pooled_search(case, index, pool):
+    """*case* through *pool*'s workers with *index*: hits and stats."""
+    return ParallelSearch(
+        case.guides,
+        case.budget,
+        workers=2,
+        chunk_length=case.resolved_chunk_length(),
+        pool=pool,
+        lane_index=index,
+    ).search_with_stats(case.genome)
+
+
+def run_grid_with_shared_index(spec: GridSpec, pool: ShardPool) -> None:
     """Every case of *spec* through one index per genome that other
     layouts pass through between cases; each answer equals a fresh
-    index's and the oracle's.
+    index's and the oracle's, in-process and through *pool*'s workers.
 
     Cases run grouped by genome, budget shape and chunk length, so a
     layout's blocks are still kept when the next case reads them.
@@ -124,15 +148,26 @@ def run_grid_with_shared_index(spec: GridSpec) -> None:
         reused += index.stats()["reuses"] - before
         stats = index.stats()
         assert stats["bytes"] <= stats["capacity_bytes"], case.describe()
+        hits, run = pooled_search(case, index, pool)
+        assert hits == expected[key], case.describe()
+        assert run["fault_tolerance"]["failures"] == {}, case.describe()
     assert reused > 0
 
 
-class TestReuseIsExact:
-    def test_differential_grid(self):
-        run_grid_with_shared_index(GridSpec())
+@pytest.fixture(scope="module")
+def shard_pool():
+    """One pool for the module, as a serving scheduler keeps one."""
+    pool = ShardPool(2)
+    yield pool
+    pool.close()
 
-    def test_bulged_grid(self):
-        run_grid_with_shared_index(BULGED_GRID_SPEC)
+
+class TestReuseIsExact:
+    def test_differential_grid(self, shard_pool):
+        run_grid_with_shared_index(GridSpec(), shard_pool)
+
+    def test_bulged_grid(self, shard_pool):
+        run_grid_with_shared_index(BULGED_GRID_SPEC, shard_pool)
 
     @pytest.mark.parametrize("budget", OTHER_BUDGETS, ids=["mm1", "r1d1", "r2d1"])
     def test_other_layouts_reused_after_each_other(self, budget):
@@ -187,6 +222,8 @@ class TestReuseIsExact:
         assert index.stats()["layouts"] == index.stats()["bytes"] == 0
 
     def test_pool_workers_keep_none(self):
+        # Pool workers read lanes through indexes of their own; the
+        # parent's index keeps none of their layouts.
         genome = random_genome(6000, seed=79, name="chrPool")
         guides = sample_guides_from_genome(genome, 2, seed=80)
         budget = SearchBudget(2)
@@ -197,6 +234,156 @@ class TestReuseIsExact:
         assert stats["pooled"] is True
         assert hits == oracle(genome, guides, budget)
         assert index.stats()["builds"] == index.stats()["layouts"] == 0
+
+
+def worker_index_stats(token: int) -> tuple[int, dict | None]:
+    """Run in a pool worker: its pid and its own index's stats for
+    *token* (``None`` before first use). It holds the worker a moment,
+    so probes submitted together land on different workers."""
+    time.sleep(0.2)
+    index = parallel._worker_indexes.get(token)
+    return os.getpid(), None if index is None else index.stats()
+
+
+def probe_workers(pool: ShardPool, token: int) -> dict[int, dict | None]:
+    """Every worker's own index stats for *token*, by pid."""
+    executor = pool.executor()
+    seen: dict[int, dict | None] = {}
+    for _ in range(10):
+        futures = [executor.submit(worker_index_stats, token) for _ in range(2)]
+        seen.update(future.result(timeout=30) for future in futures)
+        if len(seen) == 2:
+            break
+    assert len(seen) == 2
+    return seen
+
+
+class TestResidentPool:
+    """Pool workers scan the chunks of a kept index they inherited."""
+
+    def test_resident_shards_ship_no_genome_bytes(self, monkeypatch):
+        shipped: list[tuple[str, int]] = []
+
+        class RecordingExecutor(parallel.ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                shipped.append((fn.__name__, len(pickle.dumps(args))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingExecutor)
+        genome = random_genome(24_000, seed=101, name="chrShip")
+        guides = sample_guides_from_genome(genome, 2, seed=102)
+        budget = SearchBudget(2)
+        expected = oracle(genome, guides, budget)
+        index = LaneIndex([genome])
+        sizes = {}
+        for chunk_length in (2000, 8000):
+            for kept in (index, None):
+                shipped.clear()
+                hits, stats = ParallelSearch(
+                    guides, budget, workers=2, chunk_length=chunk_length, lane_index=kept
+                ).search_with_stats(genome)
+                assert hits == expected
+                assert stats["fault_tolerance"]["failures"] == {}
+                entries = {name for name, _ in shipped}
+                assert entries == {"_run_resident" if kept else "_run_shard"}
+                sizes[chunk_length, kept is not None] = max(size for _, size in shipped)
+        # A resident payload is a place and a task without codes: it does
+        # not grow with the chunk. A one-shot search still ships codes.
+        assert sizes[8000, True] <= sizes[2000, True] + 8 < 2000
+        assert sizes[2000, False] > 2000 and sizes[8000, False] > 8000
+
+    def test_pool_workers_reuse_their_own_index(self):
+        # One chunk, two guide batches: two searches run its layouts
+        # four times on two workers, so one worker reads them twice.
+        genome = random_genome(6000, seed=103, name="chrReuse")
+        guides = sample_guides_from_genome(genome, 2, seed=104)
+        budget = SearchBudget(2)
+        expected = oracle(genome, guides, budget)
+        index = LaneIndex([genome])
+        pool = ShardPool(2)
+        try:
+            for _ in range(2):
+                hits, stats = ParallelSearch(
+                    guides, budget, workers=2, pool=pool, lane_index=index
+                ).search_with_stats(genome)
+                assert stats["num_shards"] == 2 and stats["pooled"] is True
+                assert hits == expected
+                assert stats["fault_tolerance"]["failures"] == {}
+            own = [stats for stats in probe_workers(pool, index.token).values() if stats]
+            assert any(stats["reuses"] > 0 for stats in own)
+            assert all(stats["bytes"] <= stats["capacity_bytes"] for stats in own)
+            assert pool.spawns == 1
+        finally:
+            pool.close()
+        assert index.stats()["builds"] == index.stats()["layouts"] == 0
+
+    def test_tokens_are_never_reused(self):
+        # Index A over genome X dies; index B over a genome Y of the same
+        # shape must not pass for it with workers that inherited A.
+        genome_x = random_genome(6000, seed=105, name="chrTwin")
+        genome_y = random_genome(6000, seed=106, name="chrTwin")
+        guides = list(sample_guides_from_genome(genome_x, 2, seed=107, name_prefix="x"))
+        guides += sample_guides_from_genome(genome_y, 2, seed=108, name_prefix="y")
+        budget = SearchBudget(2)
+        pool = ShardPool(2)
+        try:
+            index_a = LaneIndex([genome_x])
+            token_a = index_a.token
+            hits, _ = ParallelSearch(
+                guides, budget, workers=2, chunk_length=1500, pool=pool, lane_index=index_a
+            ).search_with_stats(genome_x)
+            assert hits == oracle(genome_x, guides, budget)
+            del index_a
+            gc.collect()
+            assert bitparallel.kept_index(token_a) is None
+            index_b = LaneIndex([genome_y])
+            assert index_b.token != token_a
+            hits, stats = ParallelSearch(
+                guides, budget, workers=2, chunk_length=1500, pool=pool, lane_index=index_b
+            ).search_with_stats(genome_y)
+            assert hits == oracle(genome_y, guides, budget)
+            assert stats["fault_tolerance"]["failures"] == {}
+            assert pool.spawns == 2
+        finally:
+            pool.close()
+
+    def test_a_lock_held_at_the_fork_blocks_no_worker(self):
+        # Another thread holds the index's lock (as a stats op does)
+        # while the search forks the pool: in the workers that lock stays
+        # held, so a worker scanning through the inherited index object
+        # would stall until its shard timed out.
+        genome = random_genome(20_000, seed=109, name="chrLocked")
+        guides = sample_guides_from_genome(genome, 3, seed=110)
+        budget = SearchBudget(2)
+        index = LaneIndex([genome])
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with index._lock:
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        pool = ShardPool(2)
+        try:
+            assert held.wait(timeout=10)
+            hits, stats = ParallelSearch(
+                guides,
+                budget,
+                workers=2,
+                chunk_length=5000,
+                shard_timeout=10,
+                pool=pool,
+                lane_index=index,
+            ).search_with_stats(genome)
+        finally:
+            release.set()
+            holder.join(timeout=30)
+            pool.close()
+        assert stats["pooled"] is True
+        assert hits == oracle(genome, guides, budget)
+        assert stats["fault_tolerance"]["failures"] == {}
 
 
 class TestConcurrentScans:
@@ -336,3 +523,75 @@ class TestRetainedBytes:
                 assert index.stats()["bytes"] <= capacity
         stats = index.stats()
         assert 0 < stats["layouts"] < stats["builds"]
+
+
+# -- nightly resident-pool soak (slow; excluded from the per-push run) ---------
+
+
+@pytest.mark.slow
+class TestResidentPoolSoak:
+    """Seeded ~1 Mbp genomes through one long-lived pool and kept index.
+
+    Every seed's genome gets one kept index, and three panels that mix
+    NGG, NRG and TTTV guides search it through one ``ShardPool(2)`` that
+    outlives every seed: each genome's first search forks the workers
+    once more to inherit it, and the later panels read the layouts the
+    workers kept. Every fifth seed runs a bulged budget. Each search
+    must equal the whole-genome kernel with no shard failure, and every
+    failure message carries its seed for one-line replay.
+    """
+
+    GENOME_LENGTH = 1_000_000
+    CHUNK = 1 << 18
+    PAMS = ("NGG", "NRG", "TTTV")
+    BULGE_SHAPES = ((1, 0), (0, 1), (1, 1))
+
+    @pytest.fixture(scope="class")
+    def soak_pool(self):
+        pool = ShardPool(2)
+        yield pool
+        pool.close()
+
+    @classmethod
+    def budget_for_seed(cls, seed: int) -> SearchBudget:
+        if seed % 5:
+            return SearchBudget(mismatches=3)
+        rna, dna = cls.BULGE_SHAPES[(seed // 5) % len(cls.BULGE_SHAPES)]
+        return SearchBudget(mismatches=1, rna_bulges=rna, dna_bulges=dna)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_seeded_resident_sweep(self, seed, soak_pool):
+        genome = random_genome(self.GENOME_LENGTH, seed=seed, name=f"chrResident{seed}")
+        index = LaneIndex([genome])
+        budget = self.budget_for_seed(seed)
+        spawns = soak_pool.spawns
+        for panel in range(3):
+            guides = [
+                guide
+                for number, pam in enumerate(self.PAMS)
+                for guide in sample_guides_from_genome(
+                    genome,
+                    2,
+                    pam=pam,
+                    seed=seed * 100 + panel * 10 + number,
+                    name_prefix=f"{pam.lower()}{panel}",
+                )
+            ]
+            hits, stats = ParallelSearch(
+                guides,
+                budget,
+                workers=2,
+                chunk_length=self.CHUNK,
+                pool=soak_pool,
+                lane_index=index,
+            ).search_with_stats(genome)
+            replay = f"(replay: test_seeded_resident_sweep[{seed}])"
+            assert hits == bitparallel.find_hits(genome, guides, budget), (
+                f"resident soak seed {seed} panel {panel}: hits diverge under "
+                f"{budget} {replay}"
+            )
+            assert stats["fault_tolerance"]["failures"] == {}, (
+                f"resident soak seed {seed} panel {panel}: shard failures "
+                f"{stats['fault_tolerance']['failures']} {replay}"
+            )
+        assert soak_pool.spawns == spawns + 1, f"resident soak seed {seed} {replay}"

@@ -428,6 +428,14 @@ class TestExecutor:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", CountingExecutor)
+        rounds = []
+        execute_pooled = ParallelSearch._execute_pooled
+
+        def counting_round(self, states, *args):
+            rounds.append([state.task.shard_id for state in states])
+            return execute_pooled(self, states, *args)
+
+        monkeypatch.setattr(ParallelSearch, "_execute_pooled", counting_round)
         chromosomes = [
             random_genome(20_000, seed=seed, name=f"chr{seed}") for seed in (47, 48, 49)
         ]
@@ -436,6 +444,13 @@ class TestExecutor:
         hits, per_sequence = executor.search_many_with_stats(chromosomes)
         assert len(constructed) == 1
         assert all(stats["pooled"] for stats in per_sequence)
+        # One supervised round, shard ids in (sequence, chunk, batch) order.
+        assert [stats["sequence"] for stats in per_sequence] == [c.name for c in chromosomes]
+        ids = [row["shard"] for stats in per_sequence for row in stats["shards"]]
+        assert rounds == [ids] and ids == list(range(len(ids)))
+        assert [row["shard"] for row in per_sequence[0]["shards"]] == [
+            task.shard_id for task in executor.shard_tasks(chromosomes[0])
+        ]
         whole = [h for c in chromosomes for h in matcher.find_hits(c, guides, budget)]
         assert hit_multiset(hits) == hit_multiset(whole)
 

@@ -162,6 +162,32 @@ class TestPersistentPool:
         assert stats["pool"] == {"workers": 2, "spawns": 1}
         assert set(multiprocessing.active_children()) <= before
 
+    def test_a_session_registered_after_the_spawn_forks_once_more(
+        self, small_genome, pool
+    ):
+        # The workers forked for session "a" never saw "b": its first
+        # pooled query forks fresh ones, which inherit both sessions.
+        before = set(multiprocessing.active_children())
+        other = random_genome(5000, seed=37, name="chrLate")
+        late = sample_guides_from_genome(other, 2, seed=38, name_prefix="late")
+        budget = SearchBudget(mismatches=2)
+        service = make_service(workers=2)
+        try:
+            service.add_genome("a", small_genome)
+            got = service.query(pool[:2], budget, session_id="a").hits
+            assert got == oracle_hits(pool[:2], budget, small_genome)
+            assert service.stats()["pool"]["spawns"] == 1
+            service.add_genome("b", other)
+            got = service.query(late, budget, session_id="b").hits
+            assert got == oracle_hits(late, budget, other)
+            got = service.query(pool[:2], budget, session_id="a").hits
+            assert got == oracle_hits(pool[:2], budget, small_genome)
+            stats = service.stats()
+        finally:
+            service.close()
+        assert stats["pool"] == {"workers": 2, "spawns": 2}
+        assert set(multiprocessing.active_children()) <= before
+
     def test_in_process_service_never_spawns(self, small_genome, pool):
         with make_service() as service:
             service.add_genome("default", small_genome)
